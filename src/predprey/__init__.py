@@ -13,9 +13,8 @@ from .special import (ML_MAX_ABS_Z, MLSeriesConfig, beta, gamma, mittag_leffler)
 from .schemes import (DivergenceError, MickensAux, SchemeConfig, StepSizeWarning,
                       euler_step, iterate, mickens_phi, mickens_step,
                       reference_solve, rk4_step)
-from .fractional import (ConservationBound, FractionalConfig, QuadratureWeights,
-                         caputo_solve, fractional_conservation_bound,
-                         quadrature_weights, scalar_caputo_solve)
+from .fractional import (ConservationBound, FractionalConfig, caputo_solve,
+                         fractional_conservation_bound, scalar_caputo_solve)
 from .stability import (NON_HYPERBOLIC, OUT_OF_CRITERION, SADDLE, SINK, SOURCE,
                         Quadratic, SchurCohnResult, StabilityReport,
                         characteristic_quadratic, classify, euler_step_bound,
@@ -42,9 +41,8 @@ __all__ = [
     "DivergenceError", "MickensAux", "SchemeConfig", "StepSizeWarning",
     "euler_step", "iterate", "mickens_phi", "mickens_step", "reference_solve",
     "rk4_step",
-    "ConservationBound", "FractionalConfig", "QuadratureWeights",
-    "caputo_solve", "fractional_conservation_bound", "quadrature_weights",
-    "scalar_caputo_solve",
+    "ConservationBound", "FractionalConfig", "caputo_solve",
+    "fractional_conservation_bound", "scalar_caputo_solve",
     "NON_HYPERBOLIC", "OUT_OF_CRITERION", "SADDLE", "SINK", "SOURCE",
     "Quadratic", "SchurCohnResult", "StabilityReport",
     "characteristic_quadratic", "classify", "euler_step_bound",

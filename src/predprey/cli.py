@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .model import FRACTIONAL, SCHEMES, ModelParams, State
+from .model import FRACTIONAL, SCHEMES
 from .runner import (PRESETS, ConfigError, Scenario, compare, load_scenarios,
-                     run_figures, run_scenario, run_scenarios,
-                     trajectory_from_csv, write_gnuplot_script, DEFAULT_PARAMS,
-                     DEFAULT_INITIAL, _stability_text)
+                     run_figures, run_scenario, run_scenarios, stability_text,
+                     trajectory_from_csv, write_gnuplot_script)
 from .schemes import DivergenceError
 
 
@@ -48,40 +48,20 @@ def _overrides(args) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
-def _flag_scenario(args, name: str, outputs=("timeseries",)) -> Scenario:
-    ov = _overrides(args)
-    pvals = dict(alpha=DEFAULT_PARAMS.alpha, beta=DEFAULT_PARAMS.beta,
-                 p=DEFAULT_PARAMS.p, capacity=DEFAULT_PARAMS.capacity)
-    for k in ("alpha", "beta", "p", "capacity"):
-        if ov[k] is not None:
-            pvals[k] = ov[k]
-    try:
-        params = ModelParams(**pvals)
-    except ValueError:
-        params = ModelParams.unchecked(**pvals)
-    initial = State(ov["d0"] if ov["d0"] is not None else DEFAULT_INITIAL.d,
-                    ov["l0"] if ov["l0"] is not None else DEFAULT_INITIAL.l)
-    return Scenario(
-        name=name, params=params, initial=initial,
-        scheme=ov["scheme"] or "reference",
-        h=ov["h"] if ov["h"] is not None else 0.25,
-        t_end=ov["t_end"] if ov["t_end"] is not None else 300.0,
-        sigma=ov["sigma"] if ov["sigma"] is not None else 0.95,
-        outputs=outputs)
-
-
-def _scenarios_for(args, default_name, outputs):
+def _scenarios_for(args, default_name, verify: bool):
     if args.config:
         scenarios = load_scenarios(args.config, _overrides(args))
-        return [Scenario(**{**sc.__dict__, "outputs": outputs})
-                if "verify" in outputs and "verify" not in sc.outputs else sc
-                for sc in scenarios]
-    return [_flag_scenario(args, default_name, outputs)]
+    else:
+        scenarios = [Scenario.from_fields(default_name, _overrides(args))]
+    if verify:
+        scenarios = [sc if "verify" in sc.outputs
+                     else replace(sc, outputs=sc.outputs + ("verify",))
+                     for sc in scenarios]
+    return scenarios
 
 
 def cmd_simulate(args) -> int:
-    outputs = ("timeseries", "verify") if args.strict else ("timeseries",)
-    scenarios = _scenarios_for(args, args.name, outputs)
+    scenarios = _scenarios_for(args, args.name, verify=args.strict)
     paths, reports = run_scenarios(scenarios, args.output)
     csvs = [p for p in paths if p.suffix == ".csv"]
     script = write_gnuplot_script(
@@ -100,8 +80,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    sc = _flag_scenario(args, "stability")
-    text = _stability_text(sc)
+    text = stability_text(Scenario.from_fields("stability", _overrides(args)))
     if args.output != ".":
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -113,7 +92,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scenarios = _scenarios_for(args, "verify", ("timeseries", "verify"))
+    scenarios = _scenarios_for(args, "verify", verify=True)
     ok = True
     for sc in scenarios:
         _, report = run_scenario(sc, args.output)
@@ -143,15 +122,11 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one number")
-    base = _flag_scenario(args, "sweep")
-    scenarios = []
-    for v in values:
-        fields = dict(base.__dict__)
-        fields["name"] = f"{base.name}_{args.param}{v:g}"
-        fields[args.param] = v
-        if args.param == "sigma" and base.scheme != FRACTIONAL:
-            fields["scheme"] = FRACTIONAL
-        scenarios.append(Scenario(**fields))
+    base = Scenario.from_fields("sweep", _overrides(args))
+    scheme = FRACTIONAL if args.param == "sigma" else base.scheme
+    scenarios = [replace(base, name=f"{base.name}_{args.param}{v:g}",
+                         scheme=scheme, **{args.param: v})
+                 for v in values]
     paths, _ = run_scenarios(scenarios, args.output)
     csvs = [p for p in paths if p.suffix == ".csv"]
     write_gnuplot_script(csvs, Path(args.output) / f"{base.name}_{args.param}.gp",
@@ -186,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--output", default=".",
                    help="file to write instead of stdout")
-    p.set_defaults(func=cmd_stability, strict=False, config=None)
+    p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("verify", help="check a run against its invariant region")
     _add_model_flags(p)
@@ -202,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=("sigma", "h"), required=True)
     p.add_argument("--values", required=True, help="comma-separated list")
     _add_model_flags(p)
-    _add_common_flags(p)
+    p.add_argument("--output", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figures", help="emit the CSVs and gnuplot script of a preset")

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FRACTIONAL, ModelParams, State, Trajectory, rates
+from .model import (FRACTIONAL, ModelParams, State, Trajectory, grid_steps,
+                    rates)
 from .schemes import DivergenceError
 from .special import mittag_leffler
 
@@ -39,15 +40,12 @@ class FractionalConfig:
     def __post_init__(self):
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in (0, 1], got {self.sigma!r}")
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h!r}")
-        if not self.t_end >= self.h:
-            raise ValueError(f"t_end must be at least h, got {self.t_end!r}")
+        grid_steps(self.h, self.t_end)
         if self.corrector_passes < 1:
             raise ValueError("corrector_passes must be at least 1")
 
     def n_steps(self) -> int:
-        return max(1, math.ceil(self.t_end / self.h - 1e-9))
+        return grid_steps(self.h, self.t_end)
 
 
 def _rectangle_kernel(sigma: float, count: int) -> np.ndarray:
@@ -86,45 +84,6 @@ def _first_corrector_weight(sigma: float, n: int) -> float:
     # happens between O(sigma) quantities instead of O(n^(s+1)) ones
     inner = sigma + n * math.expm1(sigma * math.log1p(-1.0 / (n + 1.0)))
     return (n + 1.0) ** sigma * inner
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureWeights:
-    """Weights used to advance from grid index n to n+1.
-
-    ``trapezoidal`` holds the corrector weights a_{j,n+1} for j = 0..n
-    followed by the unit weight applied to F at the predicted point;
-    ``rectangle`` holds the predictor weights b_{j,n+1} for j = 0..n.
-    """
-
-    trapezoidal: np.ndarray
-    rectangle: np.ndarray
-    predictor_scale: float      # h^sigma / (sigma*gamma(sigma)) = h^sigma/gamma(sigma+1)
-    corrector_scale: float      # h^sigma / gamma(sigma+2)
-
-
-def quadrature_weights(sigma: float, h: float, n: int) -> QuadratureWeights:
-    """Assemble the PECE weights for the step ending at index n+1."""
-    if not 0.0 < sigma <= 1.0:
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma!r}")
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h!r}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    d = _rectangle_kernel(sigma, n + 1)
-    rectangle = d[::-1].copy()                      # b_j = d[n-j]
-    c = _trapezoid_kernel(sigma, n)
-    trapezoidal = np.empty(n + 2)
-    trapezoidal[0] = _first_corrector_weight(sigma, n)
-    if n >= 1:
-        trapezoidal[1:n + 1] = c[1:n + 1][::-1]     # a_j = c[n-j+1]
-    trapezoidal[n + 1] = 1.0
-    return QuadratureWeights(
-        trapezoidal=trapezoidal,
-        rectangle=rectangle,
-        predictor_scale=h ** sigma / math.gamma(sigma + 1.0),
-        corrector_scale=h ** sigma / math.gamma(sigma + 2.0),
-    )
 
 
 def _pece_history(f, x0: np.ndarray, sigma: float, h: float, n_steps: int,

@@ -106,6 +106,16 @@ class Equilibrium:
     reason: Optional[str] = None
 
 
+def grid_steps(h: float, t_end: float) -> int:
+    """Steps of width h covering [0, t_end]; checks h > 0 and t_end >= h."""
+    if not h > 0.0:
+        raise ValueError(f"h must be positive, got {h!r}")
+    if not t_end >= h:
+        raise ValueError(f"t_end must be at least h, got {t_end!r}")
+    # ceil, but tolerant of t_end/h landing a hair above an integer
+    return math.ceil(t_end / h - 1e-9)
+
+
 def rates(params: ModelParams, d: float, l: float):
     """Field components at (d, l) as plain floats, no validity checks."""
     dd = params.alpha * d * (1.0 - d / params.capacity) - params.p * d * l

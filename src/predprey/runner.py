@@ -58,6 +58,25 @@ class Scenario:
         if bad:
             raise ValueError(f"unknown outputs {bad!r}; expected {OUTPUT_KINDS}")
 
+    @classmethod
+    def from_fields(cls, name: str, fields) -> "Scenario":
+        """Build from flat fields, as a config section or flags give them.
+
+        Keys are the scenario fields plus alpha, beta, p, capacity, d0 and
+        l0; a missing or None field takes its default.  Parameters that
+        break the ordering fall back to ``ModelParams.unchecked``.
+        """
+        given = {k: v for k, v in fields.items() if v is not None}
+        p = {k: given.pop(k, getattr(DEFAULT_PARAMS, k))
+             for k in ("alpha", "beta", "p", "capacity")}
+        try:
+            params = ModelParams(**p)
+        except ValueError:
+            params = ModelParams.unchecked(**p)
+        initial = State(given.pop("d0", DEFAULT_INITIAL.d),
+                        given.pop("l0", DEFAULT_INITIAL.l))
+        return cls(name=name, params=params, initial=initial, **given)
+
 
 def solve_scenario(sc: Scenario) -> Trajectory:
     """Dispatch to the scheme-appropriate solver."""
@@ -154,7 +173,8 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareResult:
 
 # {{{ artifact writing
 
-def _stability_text(sc: Scenario) -> str:
+def stability_text(sc: Scenario) -> str:
+    """Equilibrium classification table for a scenario's scheme."""
     arg = sc.sigma if sc.scheme == FRACTIONAL else sc.h
     lines = [f"# stability report: scenario {sc.name}, scheme {sc.scheme}"]
     for rep in classify(sc.params, sc.scheme, arg):
@@ -196,7 +216,7 @@ def run_scenario(sc: Scenario, out_dir):
         paths.append(trajectory_to_csv(traj, out_dir / f"{sc.name}.csv"))
     if "stability" in sc.outputs:
         p = out_dir / f"{sc.name}_stability.txt"
-        p.write_text(_stability_text(sc), newline="\n")
+        p.write_text(stability_text(sc), newline="\n")
         paths.append(p)
     if "verify" in sc.outputs:
         report = check_trajectory(traj, scheme_region(sc))
@@ -310,10 +330,9 @@ def preset_scenarios(preset: str):
 PRESETS = tuple(f"figure{i}" for i in range(2, 11))
 
 
-def run_figures(preset: str, out_dir, workers: Optional[int] = None):
+def run_figures(preset: str, out_dir):
     """Run a preset and emit its CSVs plus one gnuplot script."""
-    scenarios = preset_scenarios(preset)
-    paths, _ = run_scenarios(scenarios, out_dir, workers)
+    paths, _ = run_scenarios(preset_scenarios(preset), out_dir)
     csvs = [p for p in paths if p.suffix == ".csv"]
     script = write_gnuplot_script(csvs, Path(out_dir) / f"{preset}.gp",
                                   title=preset, phase=True)
@@ -387,25 +406,8 @@ def _scenario_from_section(name, mapping, source, overrides=None):
             fields[key] = value
     if overrides:
         fields.update({k: v for k, v in overrides.items() if v is not None})
-
-    p = dict(alpha=DEFAULT_PARAMS.alpha, beta=DEFAULT_PARAMS.beta,
-             p=DEFAULT_PARAMS.p, capacity=DEFAULT_PARAMS.capacity)
-    for key in ("alpha", "beta", "p", "capacity"):
-        if key in fields:
-            p[key] = fields[key]
     try:
-        params = ModelParams(**p)
-    except ValueError:
-        params = ModelParams.unchecked(**p)
-    initial = State(fields.get("d0", DEFAULT_INITIAL.d),
-                    fields.get("l0", DEFAULT_INITIAL.l))
-    try:
-        return Scenario(
-            name=name, params=params, initial=initial,
-            scheme=fields.get("scheme", REFERENCE),
-            h=fields.get("h", 0.25), t_end=fields.get("t_end", 300.0),
-            sigma=fields.get("sigma", 0.95),
-            outputs=fields.get("outputs", ("timeseries",)))
+        return Scenario.from_fields(name, fields)
     except ValueError as exc:
         raise ConfigError(f"{source}: scenario {name!r}: {exc}") from None
 

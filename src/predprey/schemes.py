@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EULER, MICKENS, REFERENCE, ModelParams, State, Trajectory, rates
+from .model import (EULER, MICKENS, REFERENCE, ModelParams, State, Trajectory,
+                    grid_steps, rates)
 
 
 class DivergenceError(RuntimeError):
@@ -33,16 +34,12 @@ class SchemeConfig:
     scheme: str = REFERENCE
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h!r}")
-        if not self.t_end >= self.h:
-            raise ValueError(f"t_end must be at least h, got {self.t_end!r}")
+        grid_steps(self.h, self.t_end)
         if self.scheme not in (REFERENCE, EULER, MICKENS):
             raise ValueError(f"unknown classical scheme {self.scheme!r}")
 
     def n_steps(self) -> int:
-        # ceil, but tolerant of t_end/h landing a hair above an integer
-        return max(1, math.ceil(self.t_end / self.h - 1e-9))
+        return grid_steps(self.h, self.t_end)
 
 
 def mickens_phi(params: ModelParams, h: float) -> float:

@@ -1,0 +1,25 @@
+"""Public surface: exported names resolve, and modules keep to it."""
+import ast
+from pathlib import Path
+
+import predprey
+
+PACKAGE = Path(predprey.__file__).resolve().parent
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in predprey.__all__ if not hasattr(predprey, n)] == []
+
+
+def test_no_module_imports_a_private_sibling_name():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "predprey":
+                continue
+            found += [f"{path.name}: {alias.name} from {'.' * node.level}{module}"
+                      for alias in node.names if alias.name.startswith("_")]
+    assert found == []

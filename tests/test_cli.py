@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import predprey
-from predprey import EULER, Scenario, State, solve_scenario, trajectory_to_csv
-from predprey.cli import build_parser, main
+from predprey import (EULER, Scenario, State, load_scenarios, solve_scenario,
+                      trajectory_to_csv)
+from predprey.cli import _scenarios_for, build_parser, main
 
 
 def run_cli(*argv):
@@ -55,6 +56,16 @@ class TestSimulate:
         assert (tmp_path / "first.csv").exists()
         assert (tmp_path / "second.csv").exists()
         assert (tmp_path / "first.gp").exists()
+
+    def test_strict_keeps_config_outputs(self, tmp_path, capsys):
+        cfg = tmp_path / "runs.cfg"
+        cfg.write_text("[a]\nt_end = 5\noutputs = timeseries, stability\n")
+        code = run_cli("simulate", "--config", cfg, "--strict",
+                       "--output", tmp_path)
+        assert code == 0
+        assert (tmp_path / "a.csv").exists()
+        assert (tmp_path / "a_stability.txt").exists()
+        assert (tmp_path / "a_verification.txt").exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -114,6 +125,14 @@ class TestVerify:
                        "--d0", 0.5, "--l0", 1.5, "--strict",
                        "--output", tmp_path)
         assert code == 1
+
+    def test_config_outputs_kept(self, tmp_path, capsys):
+        cfg = tmp_path / "runs.cfg"
+        cfg.write_text("[a]\nt_end = 5\noutputs = stability\n")
+        code = run_cli("verify", "--config", cfg, "--output", tmp_path)
+        assert code == 0
+        assert (tmp_path / "a_stability.txt").exists()
+        assert (tmp_path / "a_verification.txt").exists()
 
 
 class TestCompare:
@@ -175,6 +194,15 @@ class TestSweep:
         assert code == 2
         assert "at least one number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [("--config", "/nonexistent.cfg"),
+                                      ("--strict",)])
+    def test_run_flags_rejected(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--param", "h", "--values", "0.25", *flag,
+                    "--output", tmp_path)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFigures:
     def test_preset_run(self, tmp_path, capsys):
@@ -188,6 +216,27 @@ class TestFigures:
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("figures", "figure99")
+
+
+class TestFlagsAndConfig:
+    @pytest.mark.parametrize("fields, validated", [
+        (dict(scheme="mickens", h=0.5, t_end=10.0, d0=0.85, l0=0.1), True),
+        (dict(scheme="fractional", sigma=0.9, alpha=0.1, p=0.5), True),
+        # alpha > beta breaks the ordering: both fall back to unchecked
+        (dict(scheme="euler", alpha=0.5, beta=0.3, capacity=2.0), False),
+    ])
+    def test_same_scenario_from_flags_and_section(self, tmp_path, fields,
+                                                  validated):
+        argv = ["simulate"]
+        for key, value in fields.items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        from_flags = _scenarios_for(build_parser().parse_args(argv), "run",
+                                    verify=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in fields.items()))
+        assert from_flags == load_scenarios(cfg)
+        assert from_flags[0].params.validated is validated
 
 
 class TestParser:

@@ -17,7 +17,6 @@ from predprey import (
     caputo_solve,
     fractional_conservation_bound,
     mittag_leffler,
-    quadrature_weights,
     scalar_caputo_solve,
 )
 from predprey.fractional import (
@@ -49,6 +48,15 @@ class TestFractionalConfig:
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             FractionalConfig(**kw)
+
+    def test_invalid_weight_inputs(self):
+        # the order, step and step count the PECE weights are built from
+        with pytest.raises(ValueError):
+            FractionalConfig(sigma=0.0, h=0.25, t_end=1.0)
+        with pytest.raises(ValueError):
+            FractionalConfig(sigma=0.95, h=-0.1, t_end=1.0)
+        with pytest.raises(ValueError):
+            FractionalConfig(sigma=0.95, h=0.25, t_end=0.0)
 
     def test_step_count(self):
         assert FractionalConfig(sigma=0.95, h=0.25, t_end=300.0).n_steps() == 1200
@@ -85,43 +93,30 @@ class TestKernels:
             assert _first_corrector_weight(0.95, n) == pytest.approx(
                 expected, rel=1e-12)
 
-
-class TestQuadratureWeights:
     def test_classic_trapezoid_at_order_one(self):
-        w = quadrature_weights(1.0, 0.5, 5)
-        np.testing.assert_allclose(w.trapezoidal, [1, 2, 2, 2, 2, 2, 1])
-        np.testing.assert_allclose(w.rectangle, np.ones(6))
-        assert w.predictor_scale == pytest.approx(0.5)
-        assert w.corrector_scale == pytest.approx(0.25)
+        np.testing.assert_allclose(_rectangle_kernel(1.0, 6), np.ones(6))
+        np.testing.assert_allclose(_trapezoid_kernel(1.0, 5)[1:], np.full(5, 2.0))
+        assert _first_corrector_weight(1.0, 5) == pytest.approx(1.0)
 
-    def test_layout(self):
-        w = quadrature_weights(0.95, 0.25, 7)
-        assert w.trapezoidal.shape == (9,)
-        assert w.rectangle.shape == (8,)
-        assert w.trapezoidal[-1] == 1.0
-        assert w.trapezoidal[0] == pytest.approx(
-            _first_corrector_weight(0.95, 7), rel=1e-15)
-        assert w.rectangle[-1] == 1.0      # newest sample gets d[0]
-        assert (w.trapezoidal > 0.0).all()
-        assert (w.rectangle > 0.0).all()
-
-    def test_scales(self):
-        w = quadrature_weights(0.95, 0.25, 3)
-        assert w.predictor_scale == pytest.approx(
-            0.25 ** 0.95 / math.gamma(1.95), rel=1e-15)
-        assert w.corrector_scale == pytest.approx(
-            0.25 ** 0.95 / math.gamma(2.95), rel=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            quadrature_weights(0.0, 0.25, 3)
-        with pytest.raises(ValueError):
-            quadrature_weights(0.95, -0.1, 3)
-        with pytest.raises(ValueError):
-            quadrature_weights(0.95, 0.25, -1)
+    def test_kernels_positive(self):
+        # every weight of the step ending at index n + 1 = 8
+        assert _rectangle_kernel(0.95, 8)[0] == 1.0     # newest sample's weight
+        assert (_rectangle_kernel(0.95, 8) > 0.0).all()
+        assert (_trapezoid_kernel(0.95, 7)[1:] > 0.0).all()
+        assert _first_corrector_weight(0.95, 7) > 0.0
 
 
 class TestScalarSolver:
+    def test_one_step_closed_form(self):
+        # one predictor-corrector step written out with both scales:
+        # h^s/gamma(s+1) on the predictor, h^s/gamma(s+2) on the corrector
+        lam, sigma, y0, h = -1.0, 0.95, 1.0, 0.25
+        y_pred = y0 + h ** sigma / math.gamma(sigma + 1.0) * lam * y0
+        expected = y0 + h ** sigma / math.gamma(sigma + 2.0) * (
+            sigma * lam * y0 + lam * y_pred)
+        assert scalar_caputo_solve(lam, sigma, y0, h, h)[1] == pytest.approx(
+            expected, rel=1e-15)
+
     def test_integer_order_matches_exponential(self):
         # one predictor-corrector pass leaves an O(h^2) defect, about
         # 6.2e-6 at this step
