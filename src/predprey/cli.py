@@ -64,10 +64,11 @@ def cmd_simulate(args) -> int:
     scenarios = _scenarios_for(args, args.name, verify=args.strict)
     paths, reports = run_scenarios(scenarios, args.output)
     csvs = [p for p in paths if p.suffix == ".csv"]
-    script = write_gnuplot_script(
-        csvs, Path(args.output) / f"{scenarios[0].name}.gp",
-        title=scenarios[0].name, phase=True)
-    for p in [*paths, script]:
+    if csvs:
+        paths.append(write_gnuplot_script(
+            csvs, Path(args.output) / f"{scenarios[0].name}.gp",
+            title=scenarios[0].name, phase=True))
+    for p in paths:
         print(p)
     bad = [r for r in reports if not r.ok]
     if args.strict and bad:

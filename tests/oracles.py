@@ -30,8 +30,9 @@ def main():
         print(f"flow({t}) = ({mp.nstr(d, 17)}, {mp.nstr(l, 17)})")
 
     print("gamma(1/2) =", mp.nstr(mp.gamma(mp.mpf(1) / 2), 17))
-    print("E_{0.95,1}(-1) =", mp.nstr(ml("0.95", 1, -1), 17))
-    print("E_{0.5,1}(-1) =", mp.nstr(ml("0.5", 1, -1), 17))
+    # the scalar test equation's solution at t = 1, for each order tested
+    for alpha in ("0.5", "0.8", "0.95", "1"):
+        print(f"E_{{{alpha},1}}(-1) =", mp.nstr(ml(alpha, 1, -1), 17))
     # envelope argument as the tests compute it, in double precision
     z = mp.mpf(-0.3 * 10 ** 0.95)
     print(f"E_{{0.95,1}}({mp.nstr(z, 17)}) =", mp.nstr(ml("0.95", 1, z), 17))

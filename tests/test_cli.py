@@ -67,6 +67,16 @@ class TestSimulate:
         assert (tmp_path / "a_stability.txt").exists()
         assert (tmp_path / "a_verification.txt").exists()
 
+    def test_no_script_without_csv(self, tmp_path, capsys):
+        # a gnuplot script with nothing to plot is not written or printed
+        cfg = tmp_path / "runs.cfg"
+        cfg.write_text("[a]\nt_end = 5\noutputs = stability\n")
+        code = run_cli("simulate", "--config", cfg, "--output", tmp_path)
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [str(tmp_path / "a_stability.txt")]
+        assert not (tmp_path / "a.gp").exists()
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[a]\nstep = 1\n")

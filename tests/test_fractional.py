@@ -1,14 +1,18 @@
 """Predictor-corrector quadrature, the Caputo solver, and its bounds.
 
 Weight reference values are frozen from 40-digit evaluation of the
-defining power differences (see ``tests/oracles.py``).
+defining power differences, and Mittag-Leffler values from 40-digit
+series evaluation (see ``tests/oracles.py``).
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predprey import (
+    DEFAULT_PARAMS,
     FRACTIONAL,
     DivergenceError,
     FractionalConfig,
@@ -20,10 +24,11 @@ from predprey import (
     scalar_caputo_solve,
 )
 from predprey.fractional import (
-    _first_corrector_weight,
+    _first_corrector_weights,
     _rectangle_kernel,
     _trapezoid_kernel,
 )
+from predprey.model import rates
 from predprey.schemes import reference_solve
 
 # c[m] = (m+1)^1.95 + (m-1)^1.95 - 2 m^1.95 at sigma = 0.95
@@ -34,6 +39,62 @@ KERNEL_095 = {1: 1.8637453156993822, 2: 1.7914667723626688,
 FIRST_WEIGHT_095 = {0: 0.95, 1: 0.90340636710751544, 5: 0.84934067445228762,
                     100: 0.73550223899254286, 1000: 0.65571293356153199}
 ML_095_AT_M1 = 0.37157362003067881
+# E_sigma(-1): the scalar test equation's solution at t = 1
+ML_AT_M1 = {0.5: 0.42758357615580700, 0.8: 0.38694857861897685,
+            0.95: ML_095_AT_M1, 1.0: 0.36787944117144232}
+
+
+def _direct_pece_history(f, x0, sigma, h, n_steps, corrector_passes):
+    """The solver's earlier full-memory loop, kept as the test oracle.
+
+    Every step sums its whole history directly, O(n^2) in all; ``f`` maps
+    a state array to a rate array.
+    """
+    def first_corrector_weight(n):
+        if n == 0:
+            return sigma
+        inner = sigma + n * math.expm1(sigma * math.log1p(-1.0 / (n + 1.0)))
+        return (n + 1.0) ** sigma * inner
+
+    scale_p = h ** sigma / math.gamma(sigma + 1.0)
+    scale_c = h ** sigma / math.gamma(sigma + 2.0)
+    d = _rectangle_kernel(sigma, n_steps)
+    c = _trapezoid_kernel(sigma, max(0, n_steps - 1))
+
+    xs = np.empty((n_steps + 1, x0.size))
+    fs = np.empty_like(xs)
+    xs[0] = x0
+    fs[0] = f(x0)
+    for n in range(n_steps):
+        xp = x0 + scale_p * (d[:n + 1][::-1] @ fs[:n + 1])
+        hist = first_corrector_weight(n) * fs[0]
+        if n >= 1:
+            hist = hist + c[1:n + 1][::-1] @ fs[1:n + 1]
+        x1 = x0 + scale_c * (hist + f(xp))
+        for _ in range(corrector_passes - 1):
+            x1 = x0 + scale_c * (hist + f(x1))
+        xs[n + 1] = x1
+        fs[n + 1] = f(x1)
+    return xs
+
+
+def _rowwise_rel_diff(states, ref):
+    """max over rows of |states - ref|_inf / |ref|_inf."""
+    states = np.reshape(states, ref.shape)
+    return (np.abs(states - ref).max(axis=1) / np.abs(ref).max(axis=1)).max()
+
+
+H_SYSTEM = 0.1     # stays bounded at every sigma out to 4000 steps
+
+
+def _system_against_direct_sum(params, s0, n, sigma, passes):
+    cfg = FractionalConfig(sigma=sigma, h=H_SYSTEM, t_end=n * H_SYSTEM,
+                           corrector_passes=passes)
+    traj = caputo_solve(params, cfg, s0)
+    assert len(traj) == n + 1
+    ref = _direct_pece_history(lambda x: np.array(rates(params, x[0], x[1])),
+                               s0.as_array(), sigma, H_SYSTEM, n, passes)
+    return _rowwise_rel_diff(traj.states, ref)
 
 
 class TestFractionalConfig:
@@ -89,21 +150,21 @@ class TestKernels:
         assert (np.diff(c[1:]) < 0.0).all()
 
     def test_first_weight_frozen_values(self):
+        a = _first_corrector_weights(0.95, 1001)
         for n, expected in FIRST_WEIGHT_095.items():
-            assert _first_corrector_weight(0.95, n) == pytest.approx(
-                expected, rel=1e-12)
+            assert a[n] == pytest.approx(expected, rel=1e-12)
 
     def test_classic_trapezoid_at_order_one(self):
         np.testing.assert_allclose(_rectangle_kernel(1.0, 6), np.ones(6))
         np.testing.assert_allclose(_trapezoid_kernel(1.0, 5)[1:], np.full(5, 2.0))
-        np.testing.assert_allclose(_first_corrector_weight(1.0, 5), 1.0)
+        np.testing.assert_allclose(_first_corrector_weights(1.0, 6)[5], 1.0)
 
     def test_kernels_positive(self):
         # every weight of the step ending at index n + 1 = 8
         assert _rectangle_kernel(0.95, 8)[0] == 1.0     # newest sample's weight
         assert (_rectangle_kernel(0.95, 8) > 0.0).all()
         assert (_trapezoid_kernel(0.95, 7)[1:] > 0.0).all()
-        assert _first_corrector_weight(0.95, 7) > 0.0
+        assert _first_corrector_weights(0.95, 8)[7] > 0.0
 
 
 class TestScalarSolver:
@@ -135,12 +196,48 @@ class TestScalarSolver:
                      - ML_095_AT_M1)
         assert e_coarse / e_fine >= 2.0
 
+    @pytest.mark.parametrize("sigma", [0.5, 0.8, 0.95, 1.0])
+    def test_convergence_order(self, sigma):
+        # the error at a fixed time falls like h^min(2, 1 + sigma)
+        # (Diethelm, Ford & Freed, Numer. Algorithms 36, 2004)
+        errs = [abs(scalar_caputo_solve(-1.0, sigma, 1.0, h, 1.0)[-1]
+                    - ML_AT_M1[sigma]) for h in (1.0 / 512, 1.0 / 1024)]
+        order = math.log2(errs[0] / errs[1])
+        assert order == pytest.approx(min(2.0, 1.0 + sigma), abs=0.05)
+
     def test_extra_corrector_passes_stay_consistent(self):
         one = scalar_caputo_solve(-1.0, 0.95, 1.0, 0.01, 1.0)
         three = scalar_caputo_solve(-1.0, 0.95, 1.0, 0.01, 1.0,
                                     corrector_passes=3)
         assert np.abs(one - three).max() <= 1e-4
         assert abs(three[-1] - ML_095_AT_M1) <= 5e-3
+
+
+@pytest.mark.parametrize("passes", [1, 3])
+@pytest.mark.parametrize("sigma", [0.5, 0.8, 0.95, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 400, 4000])
+class TestAgainstDirectSum:
+    """The blocked-FFT history sums against the direct O(n^2) loop; the
+    step counts straddle the direct block of 32 and the FFT block sizes."""
+
+    def test_system(self, params, s0, n, sigma, passes):
+        assert _system_against_direct_sum(params, s0, n, sigma, passes) <= 1e-12
+
+    def test_scalar(self, n, sigma, passes):
+        h = 1.0 / n
+        ys = scalar_caputo_solve(-1.0, sigma, 1.0, h, 1.0,
+                                 corrector_passes=passes)
+        ref = _direct_pece_history(lambda x: -1.0 * x, np.array([1.0]),
+                                   sigma, h, n, passes)
+        assert ys.shape == (n + 1,)
+        assert _rowwise_rel_diff(ys, ref) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=st.floats(0.5, 1.0), n=st.integers(1, 300))
+def test_system_matches_direct_sum_property(sigma, n):
+    assert _system_against_direct_sum(DEFAULT_PARAMS, State(0.2, 0.3), n,
+                                      sigma, 1) <= 1e-12
 
 
 class TestSystemSolver:
@@ -172,6 +269,26 @@ class TestSystemSolver:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             caputo_solve(p, FractionalConfig(sigma=0.95, h=0.5, t_end=500.0),
                          State(2.0, 0.1))
+
+    @pytest.mark.parametrize("sigma, h, t_end, params, initial, step", [
+        # default parameters already blow up at sigma = 1, h = 0.25
+        (1.0, 0.25, 300.0, DEFAULT_PARAMS, State(0.2, 0.3), 636),
+        # the benchmark corpus's failing draw
+        (0.9995984281287198, 0.25, 100.0,
+         ModelParams(0.056855987345937775, 0.46495492358440327,
+                     0.693078530037033, 1.0),
+         State(0.21802292303380175, 0.27565498163756413), 388),
+        # zero capacity leaves the field undefined from the start
+        (0.95, 0.25, 1.0, ModelParams.unchecked(0.05, 0.3, 0.4, 0.0),
+         State(0.2, 0.3), 1),
+    ])
+    def test_divergence_step_is_pinned(self, sigma, h, t_end, params,
+                                       initial, step):
+        cfg = FractionalConfig(sigma=sigma, h=h, t_end=t_end)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            caputo_solve(params, cfg, initial)
+        assert exc.value.step == step
+        assert exc.value.time == step * h
 
     def test_order_approaches_integer_limit(self, params, s0):
         # distance to the reference run shrinks as sigma tends to 1
