@@ -8,7 +8,7 @@ theorem-backed positivity/conservation checks come along for the ride.
 
 from .model import (E1, E2, E3, EULER, FRACTIONAL, MICKENS, REFERENCE, SCHEMES,
                     Equilibrium, ModelParams, State, Trajectory, equilibria,
-                    lipschitz_growth_bound, rates, vector_field)
+                    rates)
 from .special import (ML_MAX_ABS_Z, MLSeriesConfig, beta, gamma, mittag_leffler)
 from .schemes import (DivergenceError, MickensAux, SchemeConfig, StepSizeWarning,
                       euler_step, iterate, mickens_phi, mickens_step,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "E1", "E2", "E3", "EULER", "FRACTIONAL", "MICKENS", "REFERENCE", "SCHEMES",
     "Equilibrium", "ModelParams", "State", "Trajectory", "equilibria",
-    "lipschitz_growth_bound", "rates", "vector_field",
+    "rates",
     "ML_MAX_ABS_Z", "MLSeriesConfig", "beta", "gamma", "mittag_leffler",
     "DivergenceError", "MickensAux", "SchemeConfig", "StepSizeWarning",
     "euler_step", "iterate", "mickens_phi", "mickens_step", "reference_solve",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (FRACTIONAL, ModelParams, State, Trajectory, grid_steps,
-                    rates)
+                    rate_field)
 from .schemes import DivergenceError
 from .special import mittag_leffler
 
@@ -109,10 +109,11 @@ def _pece_history(f, x0, sigma: float, h: float, n_steps: int,
     share of all L targets is one FFT convolution of length 2L (overlap-save:
     outputs L .. 2L-1 do not wrap), so a run costs O(n log^2 n).
 
-    Until step n writes them, rows n+1 of ``xs`` and ``fs`` gather the far
-    parts of P_n and H_n.  They start at the j = 0 terms d[n] F_0 and
-    a_{0,n+1} F_0, and row 0 of ``fs`` stays zero so the direct and FFT
-    sums skip j = 0.
+    Row k of ``hist`` holds (x_k, F_k) once step k-1 has written it.
+    Until then it gathers the far parts (P_{k-1}, H_{k-1}), so each step
+    adds them with one row.  They start at the j = 0 terms d[k-1] F_0 and
+    a_{0,k} F_0, and F_0 is stored as zero so the direct and FFT sums skip
+    j = 0.
     """
     fft = np.fft    # numpy may load this submodule only on first use
     scale_p = h ** sigma / math.gamma(sigma + 1.0)
@@ -125,13 +126,13 @@ def _pece_history(f, x0, sigma: float, h: float, n_steps: int,
 
     x0 = [float(v) for v in x0]
     f0 = f(x0)
-    xs = np.empty((n_steps + 1, len(x0)))
-    fs = np.empty_like(xs)
-    xs[0] = x0
-    fs[0] = 0.0
-    np.multiply.outer(kernels[0], f0, out=xs[1:])
-    np.multiply.outer(_first_corrector_weights(sigma, n_steps), f0,
-                      out=fs[1:])
+    hist = np.empty((n_steps + 1, 2, len(x0)))
+    hist[0, 0] = x0
+    hist[0, 1] = 0.0
+    np.multiply.outer(
+        np.stack([kernels[0], _first_corrector_weights(sigma, n_steps)]).T,
+        f0, out=hist[1:])
+    fs = hist[:, 1]
     for n in range(n_steps):
         b = n - n % _NEAR
         if b == n > 0:
@@ -142,22 +143,20 @@ def _pece_history(f, x0, sigma: float, h: float, n_steps: int,
             # one component and one kernel at a time, which keeps the
             # temporaries of the largest blocks small
             srcs = [fft.rfft(col, 2 * size) for col in fs[n - size:n].T]
-            for kernel, acc in zip(kernels, (xs, fs)):
+            for k, kernel in enumerate(kernels):
                 spec = fft.rfft(kernel[:2 * size], 2 * size)
-                for k, src in enumerate(srcs):
+                for c, src in enumerate(srcs):
                     far = fft.irfft(src * spec, 2 * size)
-                    acc[n + 1:n + 1 + rows, k] += far[size:size + rows]
-        hist = near[:, b - n - 1:] @ fs[b:n + 1]
-        hist[0] += xs[n + 1]
-        hist[1] += fs[n + 1]
-        hp, hc = hist.tolist()
+                    hist[n + 1:n + 1 + rows, k, c] += far[size:size + rows]
+        sums = near[:, b - n - 1:] @ fs[b:n + 1]
+        sums += hist[n + 1]
+        hp, hc = sums.tolist()
         xp = [x + scale_p * u for x, u in zip(x0, hp)]
         x1 = [x + scale_c * (u + v) for x, u, v in zip(x0, hc, f(xp))]
         for _ in range(corrector_passes - 1):
             x1 = [x + scale_c * (u + v) for x, u, v in zip(x0, hc, f(x1))]
-        xs[n + 1] = x1
-        fs[n + 1] = f(x1)
-    return xs
+        hist[n + 1] = x1, f(x1)
+    return hist[:, 0].copy()
 
 
 def caputo_solve(params: ModelParams, cfg: FractionalConfig,
@@ -170,9 +169,11 @@ def caputo_solve(params: ModelParams, cfg: FractionalConfig,
     if s0.d < 0.0 or s0.l < 0.0:
         raise ValueError(f"initial state must be non-negative, got ({s0.d}, {s0.l})")
 
+    field = rate_field(params)
+
     def f(x):
         try:
-            return rates(params, x[0], x[1])
+            return field(x[0], x[1])
         except ZeroDivisionError:   # capacity 0: the field is not finite
             return math.nan, math.nan
 
@@ -181,10 +182,7 @@ def caputo_solve(params: ModelParams, cfg: FractionalConfig,
                        cfg.corrector_passes)
     finite = np.isfinite(xs).all(axis=1)
     if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise DivergenceError(
-            f"non-finite state at t = {bad * cfg.h:g} (step {bad})",
-            time=bad * cfg.h, step=bad)
+        raise DivergenceError.at_step(int(np.argmin(finite)), cfg.h)
     times = np.arange(n + 1, dtype=float) * cfg.h
     return Trajectory(times, xs, FRACTIONAL, params, cfg)
 

@@ -116,21 +116,19 @@ def grid_steps(h: float, t_end: float) -> int:
     return math.ceil(t_end / h - 1e-9)
 
 
+def rate_field(params: ModelParams):
+    """The field as f(d, l) -> (dD/dt, dL/dt), parameters bound as floats."""
+    alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
+                                params.capacity)
+
+    def f(d, l):
+        return alpha * d * (1.0 - d / capacity) - p * d * l, p * d * l - beta * l
+    return f
+
+
 def rates(params: ModelParams, d: float, l: float):
     """Field components at (d, l) as plain floats, no validity checks."""
-    dd = params.alpha * d * (1.0 - d / params.capacity) - params.p * d * l
-    dl = params.p * d * l - params.beta * l
-    return dd, dl
-
-
-def vector_field(params: ModelParams, s: State):
-    """Right-hand side (dD/dt, dL/dt) at a state.
-
-    Raises ValueError for non-finite state components.
-    """
-    if not (math.isfinite(s.d) and math.isfinite(s.l)):
-        raise ValueError(f"state must be finite, got ({s.d!r}, {s.l!r})")
-    return rates(params, s.d, s.l)
+    return rate_field(params)(d, l)
 
 
 def equilibria(params: ModelParams):
@@ -152,23 +150,6 @@ def equilibria(params: ModelParams):
         reason = None if margin > 0.0 else "beta >= p*capacity"
         out.append(Equilibrium(E3, point, exists=margin > 0.0, reason=reason))
     return out
-
-
-def lipschitz_growth_bound(params: ModelParams):
-    """Constants (w, lam) with ||F(X)||_sup <= w + lam*||X||_sup.
-
-    The field splits as F(X) = D*(Z X) + B X with
-
-        Z = [[-alpha/capacity, -p], [0, p]],    B = diag(alpha, -beta)
-
-    so on the feasible set (prey bounded by the capacity scale) the growth
-    rate is lam = ||Z||_sup + ||B||_sup with the max-row-sum norm.  The
-    additive constant w is a fixed small epsilon.
-    """
-    z_norm = max(abs(params.alpha) / abs(params.capacity) + abs(params.p),
-                 abs(params.p))
-    b_norm = max(abs(params.alpha), abs(params.beta))
-    return 1e-9, z_norm + b_norm
 
 
 @dataclass(frozen=True, eq=False)

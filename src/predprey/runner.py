@@ -103,9 +103,10 @@ def scheme_region(sc: Scenario):
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
     """Write ``t,D,L`` rows with 17 significant digits and LF endings."""
     path = Path(path)
+    row = "{:.17g},{:.17g},{:.17g}".format
     lines = [CSV_HEADER]
-    for t, (dv, lv) in zip(traj.times, traj.states):
-        lines.append(f"{t:.17g},{dv:.17g},{lv:.17g}")
+    lines += map(row, traj.times.tolist(), traj.prey.tolist(),
+                 traj.predator.tolist())
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (EULER, MICKENS, REFERENCE, ModelParams, State, Trajectory,
-                    grid_steps, rates)
+                    grid_steps, rate_field)
 
 
 class DivergenceError(RuntimeError):
@@ -19,6 +19,13 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.time = time
         self.step = step
+
+    @classmethod
+    def at_step(cls, step: int, h: float) -> "DivergenceError":
+        """The error for a first non-finite state at grid step ``step``."""
+        t = step * h
+        return cls(f"non-finite state at t = {t:g} (step {step})",
+                   time=t, step=step)
 
 
 class StepSizeWarning(UserWarning):
@@ -67,13 +74,46 @@ class MickensAux:
         return cls(phi=phi, xi=1.0 + params.alpha * phi)
 
 
+def _stepper(scheme: str, params: ModelParams, h: float):
+    """The update formula of a classical scheme, as step(d, l) -> (d, l).
+
+    The parameters, h and the step constants are bound once as floats.
+    Products are grouped exactly as the written-out maps group them
+    (alpha*h*x is (alpha*h)*x), so hoisting them changes no bit.
+    """
+    alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
+                                params.capacity)
+    if scheme == EULER:
+        ah, ph, bh = alpha * h, p * h, beta * h
+
+        def step(d, l):
+            return (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
+                    l * (ph * d - bh + 1.0))
+    elif scheme == MICKENS:
+        aux = MickensAux.for_step(params, h)
+        xi, aphi, pphi = aux.xi, alpha * aux.phi, p * aux.phi
+        decay = 1.0 + beta * aux.phi
+
+        def step(d, l):
+            d = xi * d / (1.0 + pphi * l + aphi * d / capacity)
+            return d, (pphi * d + 1.0) * l / decay
+    else:
+        f = rate_field(params)
+        hh = 0.5 * h
+
+        def step(d, l):
+            k1d, k1l = f(d, l)
+            k2d, k2l = f(d + hh * k1d, l + hh * k1l)
+            k3d, k3l = f(d + hh * k2d, l + hh * k2l)
+            k4d, k4l = f(d + h * k3d, l + h * k3l)
+            return (d + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0,
+                    l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
+    return step
+
+
 def euler_step(params: ModelParams, h: float, s: State) -> State:
     """One explicit Euler update of (d, l)."""
-    d, l = s.d, s.l
-    d_next = d * (params.alpha * h * (1.0 - d / params.capacity)
-                  - params.p * h * l + 1.0)
-    l_next = l * (params.p * h * d - params.beta * h + 1.0)
-    return State(d_next, l_next)
+    return State(*_stepper(EULER, params, h)(s.d, s.l))
 
 
 def mickens_step(params: ModelParams, h: float, s: State) -> State:
@@ -82,26 +122,12 @@ def mickens_step(params: ModelParams, h: float, s: State) -> State:
     The predator update uses the already-advanced prey value, which is
     what makes the map unconditionally positive for non-negative states.
     """
-    phi = mickens_phi(params, h)
-    d, l = s.d, s.l
-    d_next = (params.alpha * phi + 1.0) * d / (
-        1.0 + params.p * phi * l + params.alpha * phi * d / params.capacity)
-    l_next = (params.p * phi * d_next + 1.0) * l / (1.0 + params.beta * phi)
-    return State(d_next, l_next)
+    return State(*_stepper(MICKENS, params, h)(s.d, s.l))
 
 
 def rk4_step(params: ModelParams, h: float, s: State) -> State:
     """One classical fourth-order Runge-Kutta update."""
-    d, l = s.d, s.l
-    k1d, k1l = rates(params, d, l)
-    k2d, k2l = rates(params, d + 0.5 * h * k1d, l + 0.5 * h * k1l)
-    k3d, k3l = rates(params, d + 0.5 * h * k2d, l + 0.5 * h * k2l)
-    k4d, k4l = rates(params, d + h * k3d, l + h * k3l)
-    return State(d + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0,
-                 l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
-
-
-_STEPPERS = {REFERENCE: rk4_step, EULER: euler_step, MICKENS: mickens_step}
+    return State(*_stepper(REFERENCE, params, h)(s.d, s.l))
 
 
 def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
@@ -112,7 +138,8 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
     1 - beta*h <= 0 (predator positivity is then no longer guaranteed).
     Only the reference scheme raises DivergenceError on non-finite states;
     Euler is left free to misbehave since exposing that is part of the
-    point of having it.
+    point of having it.  A step that divides by zero (capacity 0) has no
+    finite state either, and raises DivergenceError under every scheme.
     """
     if cfg.scheme == EULER and params.validated:
         slack = 1.0 - params.beta * cfg.h
@@ -121,26 +148,29 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
                 f"1 - beta*h = {slack:g} <= 0: Euler updates can drive the "
                 "predator population negative", StepSizeWarning, stacklevel=2)
 
-    step = _STEPPERS[cfg.scheme]
+    step = _stepper(cfg.scheme, params, cfg.h)
     n = cfg.n_steps()
     times = np.arange(n + 1, dtype=float) * cfg.h
-    states = np.empty((n + 1, 2), dtype=float)
-    states[0] = (s0.d, s0.l)
-
-    s = s0
-    for i in range(n):
+    states = np.empty((n + 1, 2))
+    d, l = states[0] = s0.d, s0.l
+    # a flat memoryview takes float items much faster than numpy rows
+    with memoryview(states.reshape(-1)) as flat:
         try:
-            s = step(params, cfg.h, s)
+            for i in range(2, 2 * n + 2, 2):
+                d, l = step(d, l)
+                flat[i] = d
+                flat[i + 1] = l
+        except ZeroDivisionError as exc:
+            raise DivergenceError.at_step(i // 2, cfg.h) from exc
         except Exception as exc:
             if hasattr(exc, "add_note"):
-                exc.add_note(f"while advancing step {i + 1} at t = {times[i]:g}")
+                exc.add_note(f"while advancing step {i // 2} "
+                             f"at t = {times[i // 2 - 1]:g}")
             raise
-        if cfg.scheme == REFERENCE and not (
-                math.isfinite(s.d) and math.isfinite(s.l)):
-            raise DivergenceError(
-                f"non-finite state at t = {times[i + 1]:g} (step {i + 1})",
-                time=float(times[i + 1]), step=i + 1)
-        states[i + 1] = (s.d, s.l)
+    if cfg.scheme == REFERENCE:
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            raise DivergenceError.at_step(int(np.argmin(finite)), cfg.h)
     return Trajectory(times, states, cfg.scheme, params, cfg)
 
 

@@ -93,6 +93,15 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["reference", "euler", "mickens"])
+    def test_zero_capacity_exits_one(self, tmp_path, capsys, scheme):
+        code = run_cli("simulate", "--scheme", scheme, "--capacity", 0,
+                       "--output", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "(step 1)" in err
+
 
 class TestStability:
     def test_table_printed(self, capsys):

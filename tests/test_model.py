@@ -12,9 +12,7 @@ from predprey import (
     State,
     Trajectory,
     equilibria,
-    lipschitz_growth_bound,
     rates,
-    vector_field,
 )
 
 
@@ -63,22 +61,15 @@ class TestState:
 class TestVectorField:
     def test_reference_point_values(self, params, s0):
         # 0.05*0.2*0.8 - 0.4*0.2*0.3 and 0.4*0.2*0.3 - 0.3*0.3
-        dd, dl = vector_field(params, s0)
+        dd, dl = rates(params, s0.d, s0.l)
         assert dd == pytest.approx(-0.016, rel=1e-14)
         assert dl == pytest.approx(-0.066, rel=1e-14)
 
-    def test_rates_matches_vector_field(self, params, s0):
-        assert rates(params, s0.d, s0.l) == vector_field(params, s0)
-
     def test_equilibria_annihilate_field(self, params):
         for eq in equilibria(params):
-            dd, dl = vector_field(params, eq.point)
+            dd, dl = rates(params, eq.point.d, eq.point.l)
             assert abs(dd) <= 1e-15
             assert abs(dl) <= 1e-15
-
-    def test_non_finite_state_rejected(self, params):
-        with pytest.raises(ValueError, match="finite"):
-            vector_field(params, State(math.nan, 0.3))
 
 
 class TestEquilibria:
@@ -110,18 +101,6 @@ class TestEquilibria:
         e3 = equilibria(p)[2]
         assert not e3.exists
         assert "beta" in e3.reason
-
-
-class TestLipschitzGrowthBound:
-    def test_positive_and_finite(self, params):
-        w, lam = lipschitz_growth_bound(params)
-        assert 0.0 < w < 1e-6
-        assert math.isfinite(lam) and lam > 0.0
-
-    def test_reference_value(self, params):
-        # max(0.05/1 + 0.4, 0.4) + max(0.05, 0.3)
-        _, lam = lipschitz_growth_bound(params)
-        assert lam == pytest.approx(0.75, rel=1e-14)
 
 
 class TestTrajectory:

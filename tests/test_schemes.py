@@ -3,12 +3,16 @@
 Flow reference values are frozen from a 40-digit adaptive Taylor
 integration of the vector field (see ``tests/oracles.py``).
 """
-import math
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predprey import (
+    DEFAULT_INITIAL,
+    DEFAULT_PARAMS,
     EULER,
     MICKENS,
     REFERENCE,
@@ -30,6 +34,29 @@ FLOW_T0125 = np.array([0.19805170291487033, 0.29184806446158102])
 FLOW_T025 = np.array([0.19620371110464386, 0.28389070330181207])
 FLOW_T10 = np.array([0.18790530704383112, 0.030492839719539681])
 E3_POINT = np.array([0.75, 0.03125])
+
+# (scheme, h, t_end, unchecked parameters or None for DEFAULT_PARAMS, final
+# d and l as float.hex, sha256 prefix of the states' bytes), all started at
+# DEFAULT_INITIAL.  Frozen from the State-per-step loop; the float loop must
+# reproduce every bit.
+FROZEN_RUNS = [
+    (REFERENCE, 0.25, 300.0, None, "0x1.7b880acad9283p-1",
+     "0x1.08a54e4d0625cp-5", "58bdbab9e0ea6d33"),
+    (EULER, 0.25, 300.0, None, "0x1.7b364de6d4b81p-1",
+     "0x1.0bafb622f5744p-5", "15696a07926cf1f1"),
+    (MICKENS, 0.25, 300.0, None, "0x1.7fdc862f6eb72p-1",
+     "0x1.135611e5b47cfp-5", "ef86ca7e723b5f79"),
+    (REFERENCE, 0.01, 300.0, None, "0x1.7b880acaca932p-1",
+     "0x1.08a54e601591bp-5", "4e78d75e54f26c55"),
+    (EULER, 0.01, 300.0, None, "0x1.7b8459871a66cp-1",
+     "0x1.08c11fd8ca9b4p-5", "a0f892b842621987"),
+    (MICKENS, 0.01, 300.0, None, "0x1.7b8e9575ac459p-1",
+     "0x1.096ddefa148dcp-5", "d927bf785cc0aea2"),
+    (MICKENS, 50.0, 3000.0, None, "0x1.ce2fba28a9b62p-1",
+     "0x1.73e85ec2e513bp-6", "ce4357cc63f55151"),
+    (EULER, 4.0, 400.0, (0.05, 0.3, 0.4, 1.0), "0x1.90ee514f73624p-1",
+     "0x1.3e0a20615f9efp-6", "9653142144bcbe44"),
+]
 
 
 def _final(params, scheme, h, t_end, s0):
@@ -162,6 +189,14 @@ class TestIterate:
         assert not [w for w in recwarn if issubclass(w.category,
                                                      StepSizeWarning)]
 
+    @pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
+    def test_zero_capacity_diverges_at_first_step(self, s0, scheme):
+        p = ModelParams.unchecked(0.05, 0.3, 0.4, 0.0)
+        with pytest.raises(DivergenceError) as info:
+            iterate(p, SchemeConfig(h=0.25, t_end=10.0, scheme=scheme), s0)
+        assert info.value.step == 1
+        assert info.value.time == 0.25
+
     def test_reference_divergence_detected(self):
         # inverted capacity turns logistic damping into superlinear growth
         p = ModelParams.unchecked(1.0, 0.5, 0.1, -1.0)
@@ -202,3 +237,42 @@ class TestLongRuns:
     def test_mickens_large_step_still_converges(self, params, s0):
         final = _final(params, MICKENS, 5.0, 3000.0, s0)
         assert np.abs(final - E3_POINT).max() <= 1e-4
+
+
+class TestBitExact:
+    @pytest.mark.parametrize("scheme,h,t_end,unchecked,d_hex,l_hex,digest",
+                             FROZEN_RUNS)
+    def test_trajectory_matches_frozen_bits(self, scheme, h, t_end, unchecked,
+                                            d_hex, l_hex, digest):
+        params = (DEFAULT_PARAMS if unchecked is None
+                  else ModelParams.unchecked(*unchecked))
+        traj = iterate(params, SchemeConfig(h=h, t_end=t_end, scheme=scheme),
+                       DEFAULT_INITIAL)
+        assert (traj.final.d.hex(), traj.final.l.hex()) == (d_hex, l_hex)
+        assert hashlib.sha256(traj.states.tobytes()).hexdigest()[:16] == digest
+
+
+@st.composite
+def _valid_params(draw):
+    """Parameters with 0 < alpha < beta < p*capacity < 1."""
+    capacity = draw(st.floats(0.05, 20.0))
+    pc = draw(st.floats(1e-3, 0.999))
+    beta = pc * draw(st.floats(0.01, 0.99))
+    alpha = beta * draw(st.floats(0.01, 0.99))
+    p = pc / capacity
+    try:
+        return ModelParams(alpha, beta, p, capacity)
+    except ValueError:      # rounding broke a strict inequality
+        return draw(st.nothing())
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_valid_params(),
+       h=st.floats(0.0, 100.0, exclude_min=True),
+       steps=st.integers(1, 200),
+       start=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)))
+def test_mickens_stays_finite_and_non_negative(params, h, steps, start):
+    cfg = SchemeConfig(h=h, t_end=h * steps, scheme=MICKENS)
+    states = iterate(params, cfg, State(*start)).states
+    assert np.isfinite(states).all()
+    assert (states >= 0.0).all()
