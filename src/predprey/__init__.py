@@ -9,25 +9,24 @@ theorem-backed positivity/conservation checks come along for the ride.
 from .model import (E1, E2, E3, EULER, FRACTIONAL, MICKENS, REFERENCE, SCHEMES,
                     Equilibrium, ModelParams, State, Trajectory, equilibria,
                     rates)
-from .special import (ML_MAX_ABS_Z, MLSeriesConfig, beta, gamma, mittag_leffler)
-from .schemes import (DivergenceError, MickensAux, SchemeConfig, StepSizeWarning,
-                      euler_step, iterate, mickens_phi, mickens_step,
-                      reference_solve, rk4_step)
+from .special import MLSeriesConfig, beta, gamma, mittag_leffler
+from .schemes import (DivergenceError, SchemeConfig, StepSizeWarning, euler_step,
+                      iterate, mickens_phi, mickens_step, reference_solve,
+                      rk4_step)
 from .fractional import (ConservationBound, FractionalConfig, caputo_solve,
                          fractional_conservation_bound, scalar_caputo_solve)
 from .stability import (NON_HYPERBOLIC, OUT_OF_CRITERION, SADDLE, SINK, SOURCE,
-                        Quadratic, SchurCohnResult, StabilityReport,
-                        characteristic_quadratic, classify, euler_step_bound,
-                        jacobian_continuous, jacobian_euler, jacobian_mickens,
+                        Quadratic, StabilityReport, characteristic_quadratic,
+                        classify, euler_step_bound, jacobian_continuous,
+                        jacobian_euler, jacobian_mickens,
                         routh_hurwitz_quadratic, schur_cohn_quadratic)
-from .regions import (CONTINUOUS_OMEGA, EULER_OMEGA, FRACTIONAL_OMEGA,
-                      MICKENS_OMEGA, NEGATIVITY_TOL, RegionSpec,
-                      ViolationReport, check_trajectory, continuous_region,
-                      euler_region, fractional_region, mickens_region)
+from .regions import (NEGATIVITY_TOL, RegionSpec, ViolationReport,
+                      check_trajectory, continuous_region, euler_region,
+                      fractional_region, mickens_region)
 from .runner import (CSV_HEADER, DEFAULT_INITIAL, DEFAULT_PARAMS, PRESETS,
                      CompareResult, ConfigError, Scenario, compare,
                      load_scenarios, parse_config, preset_scenarios,
-                     run_figures, run_scenario, run_scenarios, scheme_region,
+                     run_batch, run_scenario, run_scenarios, scheme_region,
                      solve_scenario, trajectory_from_csv, trajectory_to_csv,
                      write_gnuplot_script)
 
@@ -37,23 +36,20 @@ __all__ = [
     "E1", "E2", "E3", "EULER", "FRACTIONAL", "MICKENS", "REFERENCE", "SCHEMES",
     "Equilibrium", "ModelParams", "State", "Trajectory", "equilibria",
     "rates",
-    "ML_MAX_ABS_Z", "MLSeriesConfig", "beta", "gamma", "mittag_leffler",
-    "DivergenceError", "MickensAux", "SchemeConfig", "StepSizeWarning",
-    "euler_step", "iterate", "mickens_phi", "mickens_step", "reference_solve",
-    "rk4_step",
+    "MLSeriesConfig", "beta", "gamma", "mittag_leffler",
+    "DivergenceError", "SchemeConfig", "StepSizeWarning", "euler_step",
+    "iterate", "mickens_phi", "mickens_step", "reference_solve", "rk4_step",
     "ConservationBound", "FractionalConfig", "caputo_solve",
     "fractional_conservation_bound", "scalar_caputo_solve",
     "NON_HYPERBOLIC", "OUT_OF_CRITERION", "SADDLE", "SINK", "SOURCE",
-    "Quadratic", "SchurCohnResult", "StabilityReport",
-    "characteristic_quadratic", "classify", "euler_step_bound",
-    "jacobian_continuous", "jacobian_euler", "jacobian_mickens",
-    "routh_hurwitz_quadratic", "schur_cohn_quadratic",
-    "CONTINUOUS_OMEGA", "EULER_OMEGA", "FRACTIONAL_OMEGA", "MICKENS_OMEGA",
+    "Quadratic", "StabilityReport", "characteristic_quadratic", "classify",
+    "euler_step_bound", "jacobian_continuous", "jacobian_euler",
+    "jacobian_mickens", "routh_hurwitz_quadratic", "schur_cohn_quadratic",
     "NEGATIVITY_TOL", "RegionSpec", "ViolationReport", "check_trajectory",
     "continuous_region", "euler_region", "fractional_region", "mickens_region",
     "CSV_HEADER", "DEFAULT_INITIAL", "DEFAULT_PARAMS", "PRESETS",
     "CompareResult", "ConfigError", "Scenario", "compare", "load_scenarios",
-    "parse_config", "preset_scenarios", "run_figures", "run_scenario",
+    "parse_config", "preset_scenarios", "run_batch", "run_scenario",
     "run_scenarios", "scheme_region", "solve_scenario", "trajectory_from_csv",
     "trajectory_to_csv", "write_gnuplot_script",
 ]

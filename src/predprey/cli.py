@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .model import FRACTIONAL, SCHEMES
 from .runner import (PRESETS, ConfigError, Scenario, compare, load_scenarios,
-                     run_figures, run_scenario, run_scenarios, stability_text,
-                     trajectory_from_csv, write_gnuplot_script)
+                     preset_scenarios, run_batch, run_scenario, stability_text,
+                     trajectory_from_csv)
 from .schemes import DivergenceError
 
 
@@ -62,12 +62,8 @@ def _scenarios_for(args, default_name, verify: bool):
 
 def cmd_simulate(args) -> int:
     scenarios = _scenarios_for(args, args.name, verify=args.strict)
-    paths, reports = run_scenarios(scenarios, args.output)
-    csvs = [p for p in paths if p.suffix == ".csv"]
-    if csvs:
-        paths.append(write_gnuplot_script(
-            csvs, Path(args.output) / f"{scenarios[0].name}.gp",
-            title=scenarios[0].name, phase=True))
+    name = scenarios[0].name
+    paths, reports = run_batch(scenarios, args.output, name, title=name)
     for p in paths:
         print(p)
     bad = [r for r in reports if not r.ok]
@@ -128,19 +124,20 @@ def cmd_sweep(args) -> int:
     scenarios = [replace(base, name=f"{base.name}_{args.param}{v:g}",
                          scheme=scheme, **{args.param: v})
                  for v in values]
-    paths, _ = run_scenarios(scenarios, args.output)
-    csvs = [p for p in paths if p.suffix == ".csv"]
-    write_gnuplot_script(csvs, Path(args.output) / f"{base.name}_{args.param}.gp",
+    paths, _ = run_batch(scenarios, args.output, f"{base.name}_{args.param}",
                          title=f"{args.param} sweep", phase=False)
-    for p in csvs:
-        print(p)
+    for p in paths:
+        if p.suffix == ".csv":
+            print(p)
     return 0
 
 
 def cmd_figures(args) -> int:
     presets = PRESETS if args.preset == "all" else (args.preset,)
     for preset in presets:
-        for p in run_figures(preset, args.output):
+        paths, _ = run_batch(preset_scenarios(preset), args.output, preset,
+                             title=preset)
+        for p in paths:
             print(p)
     return 0
 

@@ -84,13 +84,6 @@ class State:
     d: float
     l: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d, self.l], dtype=float)
-
-    @classmethod
-    def from_array(cls, x) -> "State":
-        return cls(float(x[0]), float(x[1]))
-
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -134,16 +127,18 @@ def rates(params: ModelParams, d: float, l: float):
 def equilibria(params: ModelParams):
     """All fixed points: extinction E1, prey-only E2, coexistence E3.
 
-    E3 = (beta/p, (alpha/p)*(1 - beta/(p*capacity))). When p == 0 the
-    point is undefined and is reported non-existent rather than raising.
+    E3 = (beta/p, (alpha/p)*(1 - beta/(p*capacity))). When p or capacity
+    is 0 the point is undefined and is reported non-existent rather than
+    raising.
     """
     out = [
         Equilibrium(E1, State(0.0, 0.0)),
         Equilibrium(E2, State(params.capacity, 0.0)),
     ]
-    if params.p == 0.0:
+    if params.p == 0.0 or params.capacity == 0.0:
+        zero = "p" if params.p == 0.0 else "capacity"
         out.append(Equilibrium(E3, State(math.nan, math.nan), exists=False,
-                               reason="p = 0: no coexistence point"))
+                               reason=f"{zero} = 0: no coexistence point"))
     else:
         margin = 1.0 - params.beta / (params.p * params.capacity)
         point = State(params.beta / params.p, params.alpha / params.p * margin)

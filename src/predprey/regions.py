@@ -16,15 +16,12 @@ import numpy as np
 
 from .fractional import fractional_conservation_bound
 from .model import EULER, FRACTIONAL, MICKENS, REFERENCE, ModelParams, State, Trajectory
-from .schemes import MickensAux
-
-CONTINUOUS_OMEGA = "continuous-omega"
-EULER_OMEGA = "euler-omega"
-MICKENS_OMEGA = "mickens-omega"
-FRACTIONAL_OMEGA = "fractional-omega"
+from .schemes import mickens_phi
 
 # how far below zero a population may sit before it counts as negative
 NEGATIVITY_TOL = 1e-12
+# how far above a ceiling a total or prey value may sit before it counts
+BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,9 +34,7 @@ class RegionSpec:
     """
 
     scheme: str
-    bound_kind: str
     numeric_bound: float
-    tolerance: float = 1e-9
     d_bound: Optional[float] = None
     aux_bound: Optional[float] = None
 
@@ -47,8 +42,6 @@ class RegionSpec:
         if not (math.isfinite(self.numeric_bound) and self.numeric_bound > 0.0):
             raise ValueError(f"numeric_bound must be positive and finite, "
                              f"got {self.numeric_bound!r}")
-        if not self.tolerance >= 0.0:
-            raise ValueError("tolerance must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +66,7 @@ def continuous_region(params: ModelParams, s0: State) -> RegionSpec:
     """
     m = max(s0.d, params.capacity)
     w_bound = (params.alpha + 4.0 * params.beta) / (4.0 * params.beta) * m
-    return RegionSpec(REFERENCE, CONTINUOUS_OMEGA, w_bound, d_bound=m)
+    return RegionSpec(REFERENCE, w_bound, d_bound=m)
 
 
 def euler_region(params: ModelParams, h: float) -> RegionSpec:
@@ -88,7 +81,7 @@ def euler_region(params: ModelParams, h: float) -> RegionSpec:
             f"1 - beta*h = {slack:g} <= 0: the Euler feasibility argument "
             "needs beta*h < 1")
     aux = (1.0 + params.alpha * h) / (params.p * h)
-    return RegionSpec(EULER, EULER_OMEGA, params.capacity, aux_bound=aux)
+    return RegionSpec(EULER, params.capacity, aux_bound=aux)
 
 
 def mickens_region(params: ModelParams, h: float) -> RegionSpec:
@@ -99,17 +92,17 @@ def mickens_region(params: ModelParams, h: float) -> RegionSpec:
     """
     if params.capacity != 1.0:
         raise ValueError("the Mickens W bound is only established for capacity 1")
-    aux = MickensAux.for_step(params, h)
-    w_bound = (4.0 * params.alpha ** 2 + aux.xi * params.beta ** 2) \
+    xi = 1.0 + params.alpha * mickens_phi(params, h)
+    w_bound = (4.0 * params.alpha ** 2 + xi * params.beta ** 2) \
         / (4.0 * params.alpha * params.beta)
-    return RegionSpec(MICKENS, MICKENS_OMEGA, w_bound, d_bound=1.0)
+    return RegionSpec(MICKENS, w_bound, d_bound=1.0)
 
 
 def fractional_region(params: ModelParams, s0: State) -> RegionSpec:
     """Caputo-order conservation region: W <= W(0) + A/beta."""
     m = max(s0.d, params.capacity)
     cb = fractional_conservation_bound(params, s0.d + s0.l, m)
-    return RegionSpec(FRACTIONAL, FRACTIONAL_OMEGA, cb.bound)
+    return RegionSpec(FRACTIONAL, cb.bound)
 
 
 def check_trajectory(traj: Trajectory, region: RegionSpec) -> ViolationReport:
@@ -122,7 +115,6 @@ def check_trajectory(traj: Trajectory, region: RegionSpec) -> ViolationReport:
         raise ValueError(
             f"region for scheme {region.scheme!r} cannot check a "
             f"{traj.scheme!r} trajectory")
-    tol = region.tolerance
     d = traj.states[:, 0]
     l = traj.states[:, 1]
     w = d + l
@@ -130,13 +122,15 @@ def check_trajectory(traj: Trajectory, region: RegionSpec) -> ViolationReport:
     probes = [
         ("D >= 0", d, -NEGATIVITY_TOL, "below"),
         ("L >= 0", l, -NEGATIVITY_TOL, "below"),
-        ("D + L <= W bound", w, max(region.numeric_bound, w[0]) + tol, "above"),
+        ("D + L <= W bound", w, max(region.numeric_bound, w[0]) + BOUND_TOL,
+         "above"),
     ]
     if region.d_bound is not None:
-        probes.append(("D <= D bound", d, max(region.d_bound, d[0]) + tol, "above"))
+        probes.append(("D <= D bound", d, max(region.d_bound, d[0]) + BOUND_TOL,
+                       "above"))
     if region.aux_bound is not None:
         probes.append(("D + L <= positivity threshold", w,
-                       max(region.aux_bound, w[0]) + tol, "above"))
+                       max(region.aux_bound, w[0]) + BOUND_TOL, "above"))
 
     hits = []
     for quantity, values, limit, side in probes:

@@ -119,16 +119,12 @@ def trajectory_from_csv(path, scheme: str = "csv",
     lines = [ln for ln in path.read_text().split("\n") if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-    times = np.empty(len(lines) - 1)
-    states = np.empty((len(lines) - 1, 2))
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ValueError(f"{path}: row {i + 2} has {len(cells)} columns")
-        times[i] = float(cells[0])
-        states[i, 0] = float(cells[1])
-        states[i, 1] = float(cells[2])
-    return Trajectory(times, states, scheme, params, config)
+    rows = [line.split(",") for line in lines[1:]]
+    bad = next((i for i, cells in enumerate(rows) if len(cells) != 3), None)
+    if bad is not None:
+        raise ValueError(f"{path}: row {bad + 2} has {len(rows[bad])} columns")
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    return Trajectory(table[:, 0], table[:, 1:], scheme, params, config)
 
 # }}}
 
@@ -280,64 +276,48 @@ def write_gnuplot_script(csv_paths, out_path, title: str,
     out_path.write_text("\n".join(lines) + "\n", newline="\n")
     return out_path
 
+
+def run_batch(scenarios, out_dir, script: str, title: str, phase: bool = True):
+    """Run a batch, then write ``<script>.gp`` over the CSVs it wrote.
+
+    Returns (paths, reports) as :func:`run_scenarios` does, with the
+    script path last; no script is written when the batch wrote no CSV.
+    """
+    paths, reports = run_scenarios(scenarios, out_dir)
+    csvs = [p for p in paths if p.suffix == ".csv"]
+    if csvs:
+        paths.append(write_gnuplot_script(csvs, Path(out_dir) / f"{script}.gp",
+                                          title=title, phase=phase))
+    return paths, reports
+
 # }}}
 
 
 # {{{ presets
 
-def _named(name, **kw):
-    return Scenario(name=name, **kw)
+#: each preset's runs in order, as (scenario name suffix, Scenario fields)
+_PRESET_RUNS = {
+    **{f"figure{i}": [(f"d{ic.d:g}_l{ic.l:g}", {"scheme": s, "initial": ic})
+                      for ic in STANDARD_INITIALS]
+       for i, s in enumerate((REFERENCE, EULER, MICKENS, FRACTIONAL), start=2)},
+    "figure6": [(s, {"scheme": s}) for s in (FRACTIONAL, REFERENCE, EULER, MICKENS)],
+    "figure7": [(s, {"scheme": s}) for s in (MICKENS, REFERENCE, EULER)],
+    "figure8": [(s, {"scheme": s}) for s in (EULER, REFERENCE)],
+    "figure9": [(REFERENCE, {"scheme": REFERENCE})],
+    "figure10": [*((f"sigma{s:g}", {"scheme": FRACTIONAL, "sigma": s})
+                   for s in (0.8, 0.9, 0.95, 0.99)),
+                 (REFERENCE, {"scheme": REFERENCE})],
+}
 
-
-def _ic_tag(s: State) -> str:
-    return f"d{s.d:g}_l{s.l:g}"
-
-
-def _spread_initials(prefix, scheme, **kw):
-    return [_named(f"{prefix}_{_ic_tag(ic)}", scheme=scheme, initial=ic, **kw)
-            for ic in STANDARD_INITIALS]
-
-
-def _scheme_lineup(prefix, schemes):
-    return [_named(f"{prefix}_{s}", scheme=s) for s in schemes]
+PRESETS = tuple(_PRESET_RUNS)
 
 
 def preset_scenarios(preset: str):
     """Scenario bundle for a named preset (figure2 .. figure10)."""
-    if preset == "figure2":
-        return _spread_initials("figure2", REFERENCE)
-    if preset == "figure3":
-        return _spread_initials("figure3", EULER)
-    if preset == "figure4":
-        return _spread_initials("figure4", MICKENS)
-    if preset == "figure5":
-        return _spread_initials("figure5", FRACTIONAL)
-    if preset == "figure6":
-        return _scheme_lineup("figure6", (FRACTIONAL, REFERENCE, EULER, MICKENS))
-    if preset == "figure7":
-        return _scheme_lineup("figure7", (MICKENS, REFERENCE, EULER))
-    if preset == "figure8":
-        return _scheme_lineup("figure8", (EULER, REFERENCE))
-    if preset == "figure9":
-        return [_named("figure9_reference", scheme=REFERENCE)]
-    if preset == "figure10":
-        out = [_named(f"figure10_sigma{s:g}", scheme=FRACTIONAL, sigma=s)
-               for s in (0.8, 0.9, 0.95, 0.99)]
-        out.append(_named("figure10_reference", scheme=REFERENCE))
-        return out
-    raise ValueError(f"unknown preset {preset!r}; expected figure2 .. figure10")
-
-
-PRESETS = tuple(f"figure{i}" for i in range(2, 11))
-
-
-def run_figures(preset: str, out_dir):
-    """Run a preset and emit its CSVs plus one gnuplot script."""
-    paths, _ = run_scenarios(preset_scenarios(preset), out_dir)
-    csvs = [p for p in paths if p.suffix == ".csv"]
-    script = write_gnuplot_script(csvs, Path(out_dir) / f"{preset}.gp",
-                                  title=preset, phase=True)
-    return csvs + [script]
+    if preset not in _PRESET_RUNS:
+        raise ValueError(f"unknown preset {preset!r}; expected figure2 .. figure10")
+    return [Scenario(name=f"{preset}_{suffix}", **fields)
+            for suffix, fields in _PRESET_RUNS[preset]]
 
 # }}}
 

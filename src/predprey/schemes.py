@@ -61,19 +61,6 @@ def mickens_phi(params: ModelParams, h: float) -> float:
     return -math.expm1(-bh) / params.beta
 
 
-@dataclass(frozen=True)
-class MickensAux:
-    """Derived step quantities for the NSFD map: phi(h) and xi = 1 + alpha*phi."""
-
-    phi: float
-    xi: float
-
-    @classmethod
-    def for_step(cls, params: ModelParams, h: float) -> "MickensAux":
-        phi = mickens_phi(params, h)
-        return cls(phi=phi, xi=1.0 + params.alpha * phi)
-
-
 def _stepper(scheme: str, params: ModelParams, h: float):
     """The update formula of a classical scheme, as step(d, l) -> (d, l).
 
@@ -90,9 +77,9 @@ def _stepper(scheme: str, params: ModelParams, h: float):
             return (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
                     l * (ph * d - bh + 1.0))
     elif scheme == MICKENS:
-        aux = MickensAux.for_step(params, h)
-        xi, aphi, pphi = aux.xi, alpha * aux.phi, p * aux.phi
-        decay = 1.0 + beta * aux.phi
+        phi = mickens_phi(params, h)
+        xi, aphi, pphi = 1.0 + alpha * phi, alpha * phi, p * phi
+        decay = 1.0 + beta * phi
 
         def step(d, l):
             d = xi * d / (1.0 + pphi * l + aphi * d / capacity)

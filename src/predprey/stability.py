@@ -108,10 +108,8 @@ def jacobian_continuous(params: ModelParams, s: State) -> np.ndarray:
 
 
 def jacobian_euler(params: ModelParams, h: float, s: State) -> np.ndarray:
-    a, b, p, c = params.alpha, params.beta, params.p, params.capacity
-    d, l = s.d, s.l
-    return np.array([[a * h * (1.0 - 2.0 * d / c) - p * h * l + 1.0, -p * h * d],
-                     [p * h * l, p * h * d - b * h + 1.0]])
+    """The Euler map x + h*f(x) has Jacobian I + h*J."""
+    return np.eye(2) + h * jacobian_continuous(params, s)
 
 
 def jacobian_mickens(params: ModelParams, h: float, s: State) -> np.ndarray:
@@ -194,7 +192,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     for the Caputo form (recorded but not used by the criterion, which for
     the admissible orders coincides with the continuous one).  Criterion
     degeneracies come back as ``non-hyperbolic`` or ``out-of-criterion``
-    classifications rather than exceptions.
+    classifications rather than exceptions; so do points whose Jacobian
+    is undefined (capacity 0, where D/capacity has no value).
     """
     if scheme not in (REFERENCE, EULER, MICKENS, FRACTIONAL):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -208,12 +207,15 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
 
     reports = []
     for eq in equilibria(params):
-        if not eq.exists and not (math.isfinite(eq.point.d)
-                                  and math.isfinite(eq.point.l)):
+        undefined = not eq.exists and not (math.isfinite(eq.point.d)
+                                           and math.isfinite(eq.point.l))
+        if undefined or params.capacity == 0.0:
+            reason = eq.reason if undefined else \
+                "capacity = 0: the Jacobian divides by the capacity"
             reports.append(StabilityReport(
                 equilibrium=eq, scheme=scheme, jacobian=None, char_poly=None,
                 eigenvalues=None, classification=OUT_OF_CRITERION,
-                criterion_details={"reason": eq.reason}))
+                criterion_details={"reason": reason}))
             continue
 
         if scheme == EULER:

@@ -117,6 +117,14 @@ class TestStability:
         out = capsys.readouterr().out
         assert "h_max=10" in out
 
+    @pytest.mark.parametrize("scheme", ["reference", "euler", "mickens",
+                                        "fractional"])
+    def test_zero_capacity_is_out_of_criterion(self, capsys, scheme):
+        assert run_cli("stability", "--scheme", scheme, "--capacity", 0) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row[:2] for row in rows] == ["E1", "E2", "E3"]
+        assert all("out-of-criterion [reason=capacity = 0" in row for row in rows)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"
         assert run_cli("stability", "--scheme", "mickens",

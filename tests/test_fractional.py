@@ -93,7 +93,8 @@ def _system_against_direct_sum(params, s0, n, sigma, passes):
     traj = caputo_solve(params, cfg, s0)
     assert len(traj) == n + 1
     ref = _direct_pece_history(lambda x: np.array(rates(params, x[0], x[1])),
-                               s0.as_array(), sigma, H_SYSTEM, n, passes)
+                               np.array([s0.d, s0.l]), sigma, H_SYSTEM, n,
+                               passes)
     return _rowwise_rel_diff(traj.states, ref)
 
 

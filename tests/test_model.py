@@ -47,17 +47,6 @@ class TestModelParams:
             params.alpha = 0.1
 
 
-class TestState:
-    def test_array_round_trip(self):
-        s = State(0.2, 0.3)
-        arr = s.as_array()
-        assert arr.dtype == float
-        assert State.from_array(arr) == s
-
-    def test_from_sequence(self):
-        assert State.from_array([1, 2]) == State(1.0, 2.0)
-
-
 class TestVectorField:
     def test_reference_point_values(self, params, s0):
         # 0.05*0.2*0.8 - 0.4*0.2*0.3 and 0.4*0.2*0.3 - 0.3*0.3

@@ -18,13 +18,7 @@ from predprey import (
     iterate,
     mickens_region,
 )
-from predprey.regions import (
-    CONTINUOUS_OMEGA,
-    EULER_OMEGA,
-    FRACTIONAL_OMEGA,
-    MICKENS_OMEGA,
-    RegionSpec,
-)
+from predprey.regions import RegionSpec
 
 
 def _traj(scheme, times, states):
@@ -36,7 +30,6 @@ class TestContinuousRegion:
     def test_reference_setup(self, params, s0):
         region = continuous_region(params, s0)
         assert region.scheme == REFERENCE
-        assert region.bound_kind == CONTINUOUS_OMEGA
         # (alpha + 4 beta)/(4 beta) with prey scale max(D0, C) = 1
         assert region.numeric_bound == pytest.approx(1.0416666666666667,
                                                      rel=1e-15)
@@ -58,7 +51,6 @@ class TestEulerRegion:
     def test_reference_setup(self, params):
         region = euler_region(params, 0.25)
         assert region.scheme == EULER
-        assert region.bound_kind == EULER_OMEGA
         assert region.numeric_bound == 1.0
         assert region.aux_bound == pytest.approx(10.125, rel=1e-14)
 
@@ -78,7 +70,6 @@ class TestMickensRegion:
     def test_reference_setup(self, params):
         region = mickens_region(params, 0.25)
         assert region.scheme == MICKENS
-        assert region.bound_kind == MICKENS_OMEGA
         # (4 alpha^2 + xi beta^2)/(4 alpha beta), xi = 1 + alpha*phi(h)
         assert region.numeric_bound == pytest.approx(1.6847307950845285,
                                                      rel=1e-13)
@@ -107,7 +98,6 @@ class TestFractionalRegion:
     def test_reference_setup(self, params, s0):
         region = fractional_region(params, s0)
         assert region.scheme == FRACTIONAL
-        assert region.bound_kind == FRACTIONAL_OMEGA
         # W(0) + A/beta with A = (alpha + 4 beta)/4 * max(D0, C)
         assert region.numeric_bound == pytest.approx(1.5416666666666667,
                                                      rel=1e-15)
@@ -116,13 +106,11 @@ class TestFractionalRegion:
 class TestRegionSpecValidation:
     def test_rejects_non_positive_bound(self):
         with pytest.raises(ValueError):
-            RegionSpec(scheme=REFERENCE, bound_kind=CONTINUOUS_OMEGA,
-                       numeric_bound=0.0)
+            RegionSpec(scheme=REFERENCE, numeric_bound=0.0)
 
     def test_rejects_non_finite_bound(self):
         with pytest.raises(ValueError):
-            RegionSpec(scheme=REFERENCE, bound_kind=CONTINUOUS_OMEGA,
-                       numeric_bound=np.inf)
+            RegionSpec(scheme=REFERENCE, numeric_bound=np.inf)
 
 
 class TestCheckTrajectory:

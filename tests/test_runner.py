@@ -1,6 +1,12 @@
 """Scenario execution, CSV round trips, gnuplot emission, and config files."""
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predprey import (
     EULER,
@@ -17,7 +23,7 @@ from predprey import (
     load_scenarios,
     parse_config,
     preset_scenarios,
-    run_figures,
+    run_batch,
     run_scenario,
     run_scenarios,
     scheme_region,
@@ -121,6 +127,27 @@ class TestCsvRoundTrip:
         bad.write_text("t,D,L\n0,0.2,0.3\n0.25,0.2\n")
         with pytest.raises(ValueError, match="row 3"):
             trajectory_from_csv(bad)
+
+
+@st.composite
+def _any_trajectory(draw):
+    """Strictly increasing finite times; states from every finite double,
+    plus inf, -inf, -0.0, subnormals and nan."""
+    times = sorted(draw(st.sets(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=1, max_size=20)))
+    cell = st.floats(allow_nan=False) | st.just(math.nan)
+    states = draw(st.lists(st.tuples(cell, cell), min_size=len(times),
+                           max_size=len(times)))
+    return Trajectory(np.array(times), np.array(states).reshape(-1, 2), "csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(traj=_any_trajectory())
+def test_csv_round_trip_is_bit_exact_for_any_doubles(traj):
+    with tempfile.TemporaryDirectory() as tmp:
+        back = trajectory_from_csv(trajectory_to_csv(traj, Path(tmp) / "x.csv"))
+    assert back.times.tobytes() == traj.times.tobytes()
+    assert back.states.tobytes() == traj.states.tobytes()
 
 
 class TestCompare:
@@ -253,7 +280,8 @@ class TestPresets:
             preset_scenarios("figure1")
 
     def test_run_figures_emits_csvs_and_script(self, tmp_path):
-        paths = run_figures("figure2", tmp_path)
+        paths, _ = run_batch(preset_scenarios("figure2"), tmp_path, "figure2",
+                             title="figure2")
         names = [p.name for p in paths]
         assert names[-1] == "figure2.gp"
         assert sorted(names[:-1]) == ["figure2_d0.2_l0.3.csv",

@@ -28,7 +28,9 @@ from predprey import (
     mickens_step,
     rk4_step,
 )
-from predprey.schemes import MickensAux, reference_solve
+from predprey.schemes import reference_solve
+
+from conftest import valid_params
 
 FLOW_T0125 = np.array([0.19805170291487033, 0.29184806446158102])
 FLOW_T025 = np.array([0.19620371110464386, 0.28389070330181207])
@@ -121,11 +123,6 @@ class TestMickensStep:
     def test_zero_decay_rate_degenerates_to_h(self):
         p = ModelParams.unchecked(0.05, 0.0, 0.4, 1.0)
         assert mickens_phi(p, 0.25) == 0.25
-
-    def test_aux_snapshot(self, params):
-        aux = MickensAux.for_step(params, 0.25)
-        assert aux.phi == mickens_phi(params, 0.25)
-        assert aux.xi == pytest.approx(1.0 + params.alpha * aux.phi, rel=1e-15)
 
     def test_reference_point(self, params, s0):
         s1 = mickens_step(params, 0.25, s0)
@@ -252,22 +249,8 @@ class TestBitExact:
         assert hashlib.sha256(traj.states.tobytes()).hexdigest()[:16] == digest
 
 
-@st.composite
-def _valid_params(draw):
-    """Parameters with 0 < alpha < beta < p*capacity < 1."""
-    capacity = draw(st.floats(0.05, 20.0))
-    pc = draw(st.floats(1e-3, 0.999))
-    beta = pc * draw(st.floats(0.01, 0.99))
-    alpha = beta * draw(st.floats(0.01, 0.99))
-    p = pc / capacity
-    try:
-        return ModelParams(alpha, beta, p, capacity)
-    except ValueError:      # rounding broke a strict inequality
-        return draw(st.nothing())
-
-
 @settings(max_examples=60, deadline=None)
-@given(params=_valid_params(),
+@given(params=valid_params(),
        h=st.floats(0.0, 100.0, exclude_min=True),
        steps=st.integers(1, 200),
        start=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)))

@@ -1,8 +1,11 @@
 """Criteria, Jacobians, and equilibrium classification."""
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from predprey import (
     E1,
@@ -31,6 +34,8 @@ from predprey import (
     schur_cohn_quadratic,
 )
 from predprey.stability import characteristic_quadratic
+
+from conftest import valid_params
 
 
 def _by_label(reports):
@@ -251,6 +256,17 @@ class TestClassifyEdgeCases:
         assert rep.jacobian is None
         assert "p = 0" in rep.criterion_details["reason"]
 
+    @pytest.mark.parametrize("scheme,arg", [(REFERENCE, None), (EULER, 0.25),
+                                            (MICKENS, 0.25), (FRACTIONAL, 0.9)])
+    def test_zero_capacity_is_out_of_criterion(self, scheme, arg):
+        p = ModelParams.unchecked(0.05, 0.3, 0.4, 0.0)
+        reports = classify(p, scheme, arg)
+        assert [r.equilibrium.label for r in reports] == [E1, E2, E3]
+        for rep in reports:
+            assert rep.classification == OUT_OF_CRITERION
+            assert rep.jacobian is None
+            assert "capacity = 0" in rep.criterion_details["reason"]
+
     def test_weak_predation_is_out_of_criterion(self):
         p = ModelParams.unchecked(0.05, 0.5, 0.4, 1.0)
         rep = _by_label(classify(p, REFERENCE))[E3]
@@ -261,3 +277,16 @@ class TestClassifyEdgeCases:
         for rep in classify(params, MICKENS, 0.25):
             assert rep.scheme == MICKENS
             assert math.isfinite(rep.equilibrium.point.d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=valid_params(), sigma=st.floats(0.0, 1.0, exclude_min=True))
+def test_matignon_sector_agrees_with_routh_hurwitz(params, sigma):
+    """Caputo order sigma: stable iff every |arg lambda| > sigma*pi/2
+    (Matignon 1996).  On validated parameters this gives the same verdict
+    as the half-plane test ``classify`` applies at every equilibrium."""
+    for rep in classify(params, FRACTIONAL, sigma):
+        assume(rep.classification != NON_HYPERBOLIC)
+        eig = np.linalg.eigvals(jacobian_continuous(params, rep.equilibrium.point))
+        sector = all(abs(cmath.phase(lam)) > sigma * math.pi / 2 for lam in eig)
+        assert sector == (rep.classification == SINK), rep.equilibrium.label
