@@ -14,7 +14,8 @@ from .schemes import (DivergenceError, SchemeConfig, StepSizeWarning, euler_step
                       iterate, mickens_phi, mickens_step, reference_solve,
                       rk4_step)
 from .fractional import (ConservationBound, FractionalConfig, caputo_solve,
-                         fractional_conservation_bound, scalar_caputo_solve)
+                         caputo_solve_batch, fractional_conservation_bound,
+                         scalar_caputo_solve)
 from .stability import (NON_HYPERBOLIC, OUT_OF_CRITERION, SADDLE, SINK, SOURCE,
                         Quadratic, StabilityReport, characteristic_quadratic,
                         classify, euler_step_bound, jacobian_continuous,
@@ -40,7 +41,7 @@ __all__ = [
     "DivergenceError", "SchemeConfig", "StepSizeWarning", "euler_step",
     "iterate", "mickens_phi", "mickens_step", "reference_solve", "rk4_step",
     "ConservationBound", "FractionalConfig", "caputo_solve",
-    "fractional_conservation_bound", "scalar_caputo_solve",
+    "caputo_solve_batch", "fractional_conservation_bound", "scalar_caputo_solve",
     "NON_HYPERBOLIC", "OUT_OF_CRITERION", "SADDLE", "SINK", "SOURCE",
     "Quadratic", "StabilityReport", "characteristic_quadratic", "classify",
     "euler_step_bound", "jacobian_continuous", "jacobian_euler",

@@ -95,44 +95,59 @@ def _first_corrector_weights(sigma: float, count: int) -> np.ndarray:
 _NEAR = 32
 
 
-def _pece_history(f, x0, sigma: float, h: float, n_steps: int,
+def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                   corrector_passes: int) -> np.ndarray:
-    """Run the predictor-corrector over a uniform grid; returns the history.
+    """Run the predictor-corrector for B members on one uniform grid.
 
-    ``f`` maps a sequence of state floats to a sequence of rates.  Step n
-    needs the predictor sum P_n = sum_{j<=n} d[n-j] F_j and the corrector
-    sum H_n = a_{0,n+1} F_0 + sum_{1<=j<=n} c[n-j+1] F_j.  Both are split as
-    in Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985):
-    sources in n's own aligned block of _NEAR are summed directly, and every
-    older source lies in exactly one aligned block [s, s+L) with s/L even
-    whose sibling [s+L, s+2L) holds n.  When such a block is complete, its
-    share of all L targets is one FFT convolution of length 2L (overlap-save:
-    outputs L .. 2L-1 do not wrap), so a run costs O(n log^2 n).
+    Member i has its own field ``fields[i]`` (a map from the state floats,
+    as arguments, to a sequence of rates), start ``x0s[i]`` and order
+    ``sigmas[i]``; all share h, the step count and the corrector passes.
+    Returns the states, shape (B, n_steps + 1, dim).
 
-    Row k of ``hist`` holds (x_k, F_k) once step k-1 has written it.
-    Until then it gathers the far parts (P_{k-1}, H_{k-1}), so each step
-    adds them with one row.  They start at the j = 0 terms d[k-1] F_0 and
-    a_{0,k} F_0, and F_0 is stored as zero so the direct and FFT sums skip
-    j = 0.
+    Step n needs the predictor sum P_n = sum_{j<=n} d[n-j] F_j and the
+    corrector sum H_n = a_{0,n+1} F_0 + sum_{1<=j<=n} c[n-j+1] F_j.  Both
+    are split as in Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput.
+    6, 1985): sources in n's own aligned block of _NEAR are summed
+    directly, and every older source lies in exactly one aligned block
+    [s, s+L) with s/L even whose sibling [s+L, s+2L) holds n.  When such a
+    block is complete, its share of all L targets is one FFT convolution
+    of length 2L per member (overlap-save: outputs L .. 2L-1 do not wrap),
+    so a run costs O(n log^2 n).
+
+    Row k of ``hist`` holds (x_k, F_k) of every member once step k-1 has
+    written it.  Until then it gathers the far parts (P_{k-1}, H_{k-1}), so
+    each step adds them with one row.  They start at the j = 0 terms
+    d[k-1] F_0 and a_{0,k} F_0, and F_0 is stored as zero so the direct
+    and FFT sums skip j = 0.  The state update runs on Python floats one
+    member at a time, so each member's numbers do not depend on the batch
+    it is solved in.
     """
     fft = np.fft    # numpy may load this submodule only on first use
-    scale_p = h ** sigma / math.gamma(sigma + 1.0)
-    scale_c = h ** sigma / math.gamma(sigma + 2.0)
+    x0s = [[float(v) for v in x0] for x0 in x0s]
+    members = [(f, x0, h ** s / math.gamma(s + 1.0),
+                h ** s / math.gamma(s + 2.0))
+               for f, x0, s in zip(fields, x0s, sigmas)]
+    f0s = [f(*x0) for f, x0 in zip(fields, x0s)]
+    dim = len(x0s[0])
     # lag-k weight of a source j >= 1: d[k] in the predictor, c[k+1] in
-    # the corrector; near holds the first _NEAR of each, newest lag last
-    kernels = np.stack([_rectangle_kernel(sigma, n_steps),
-                        _trapezoid_kernel(sigma, n_steps)[1:]])
-    near = np.ascontiguousarray(kernels[:, _NEAR - 1::-1])
-
-    x0 = [float(v) for v in x0]
-    f0 = f(x0)
-    hist = np.empty((n_steps + 1, 2, len(x0)))
-    hist[0, 0] = x0
-    hist[0, 1] = 0.0
-    np.multiply.outer(
-        np.stack([kernels[0], _first_corrector_weights(sigma, n_steps)]).T,
-        f0, out=hist[1:])
-    fs = hist[:, 1]
+    # the corrector
+    kernels = np.empty((len(sigmas), 2, n_steps))
+    hist = np.empty((n_steps + 1, len(sigmas), 2, dim))
+    hist[0, :, 0] = x0s
+    hist[0, :, 1] = 0.0
+    for i, (s, f0) in enumerate(zip(sigmas, f0s)):
+        kernels[i, 0] = _rectangle_kernel(s, n_steps)
+        kernels[i, 1] = _trapezoid_kernel(s, n_steps)[1:]
+        np.multiply.outer(kernels[i, 0], f0, out=hist[1:, i, 0])
+        np.multiply.outer(_first_corrector_weights(s, n_steps), f0,
+                          out=hist[1:, i, 1])
+    # the first _NEAR weights of each kernel, newest lag last
+    near = np.ascontiguousarray(kernels[:, :, _NEAR - 1::-1])
+    fs_by_member = hist[:, :, 1].swapaxes(0, 1)
+    pending = hist.transpose(2, 3, 1, 0)
+    flat = hist.reshape(n_steps + 1, -1)
+    # the near weights of step n, which sums sources b .. n
+    lags = [near[:, :, -1 - i:] for i in range(_NEAR)]
     for n in range(n_steps):
         b = n - n % _NEAR
         if b == n > 0:
@@ -140,23 +155,72 @@ def _pece_history(f, x0, sigma: float, h: float, n_steps: int,
             # [n, n + size), which gather in rows n + 1 onward
             size = n & -n
             rows = min(size, n_steps - n)
-            # one component and one kernel at a time, which keeps the
-            # temporaries of the largest blocks small
-            srcs = [fft.rfft(col, 2 * size) for col in fs[n - size:n].T]
-            for k, kernel in enumerate(kernels):
-                spec = fft.rfft(kernel[:2 * size], 2 * size)
-                for c, src in enumerate(srcs):
-                    far = fft.irfft(src * spec, 2 * size)
-                    hist[n + 1:n + 1 + rows, k, c] += far[size:size + rows]
-        sums = near[:, b - n - 1:] @ fs[b:n + 1]
+            srcs = fft.rfft(fs_by_member[:, n - size:n].swapaxes(1, 2),
+                            2 * size)
+            # one kernel and one component at a time, which keeps the
+            # temporaries of the largest blocks small; both factors of
+            # each product are (B, size + 1) with unit inner stride
+            for k in range(2):
+                spec = fft.rfft(kernels[:, k, :2 * size], 2 * size)
+                for c in range(dim):
+                    far = fft.irfft(srcs[:, c] * spec, 2 * size)
+                    pending[k, c, :, n + 1:n + 1 + rows] += \
+                        far[:, size:size + rows]
+        sums = lags[n - b] @ fs_by_member[:, b:n + 1]
         sums += hist[n + 1]
-        hp, hc = sums.tolist()
-        xp = [x + scale_p * u for x, u in zip(x0, hp)]
-        x1 = [x + scale_c * (u + v) for x, u, v in zip(x0, hc, f(xp))]
-        for _ in range(corrector_passes - 1):
-            x1 = [x + scale_c * (u + v) for x, u, v in zip(x0, hc, f(x1))]
-        hist[n + 1] = x1, f(x1)
-    return hist[:, 0].copy()
+        row = []
+        for (f, x0, scale_p, scale_c), (hp, hc) in zip(members, sums.tolist()):
+            xp = [x + scale_p * u for x, u in zip(x0, hp)]
+            x1 = [x + scale_c * (u + v) for x, u, v in zip(x0, hc, f(*xp))]
+            for _ in range(corrector_passes - 1):
+                x1 = [x + scale_c * (u + v) for x, u, v in zip(x0, hc, f(*x1))]
+            row += x1
+            row += f(*x1)
+        flat[n + 1] = row
+    return np.ascontiguousarray(hist[:, :, 0].swapaxes(0, 1))
+
+
+def _finite_field(params: ModelParams):
+    """``rate_field``, or NaN rates where capacity 0 leaves it undefined."""
+    if params.capacity == 0.0:
+        return lambda d, l: (math.nan, math.nan)
+    return rate_field(params)
+
+
+def caputo_solve_batch(runs) -> list:
+    """Solve several ``(params, cfg, s0)`` runs that share one grid at once.
+
+    Entry i equals ``caputo_solve(*runs[i])`` bit for bit, except that
+    the error that call would raise is returned in its place: a
+    ValueError for a negative start, a DivergenceError for a history that
+    turns non-finite.  So one failing member costs the others nothing.
+    The history sums of all members advance together; raises ValueError
+    unless every cfg has the same h, t_end and corrector_passes.
+    """
+    runs = list(runs)
+    grids = {(cfg.h, cfg.t_end, cfg.corrector_passes) for _, cfg, _ in runs}
+    if len(grids) > 1:
+        raise ValueError("batch members must share h, t_end and "
+                         f"corrector_passes, got {sorted(grids)}")
+    if not runs:
+        return []
+    h, _, passes = grids.pop()
+    n = runs[0][1].n_steps()
+    xs = _pece_history([_finite_field(params) for params, _, _ in runs],
+                       [(s0.d, s0.l) for _, _, s0 in runs],
+                       [cfg.sigma for _, cfg, _ in runs], h, n, passes)
+    finite = np.isfinite(xs).all(axis=2)
+    out = []
+    for m, (params, cfg, s0) in enumerate(runs):
+        if s0.d < 0.0 or s0.l < 0.0:
+            out.append(ValueError("initial state must be non-negative, "
+                                  f"got ({s0.d}, {s0.l})"))
+        elif not finite[m].all():
+            out.append(DivergenceError.at_step(int(np.argmin(finite[m])), h))
+        else:
+            times = np.arange(n + 1, dtype=float) * h
+            out.append(Trajectory(times, xs[m], FRACTIONAL, params, cfg))
+    return out
 
 
 def caputo_solve(params: ModelParams, cfg: FractionalConfig,
@@ -166,25 +230,10 @@ def caputo_solve(params: ModelParams, cfg: FractionalConfig,
     The initial state must be non-negative.  Raises DivergenceError if the
     history turns non-finite (possible for unvalidated parameter regimes).
     """
-    if s0.d < 0.0 or s0.l < 0.0:
-        raise ValueError(f"initial state must be non-negative, got ({s0.d}, {s0.l})")
-
-    field = rate_field(params)
-
-    def f(x):
-        try:
-            return field(x[0], x[1])
-        except ZeroDivisionError:   # capacity 0: the field is not finite
-            return math.nan, math.nan
-
-    n = cfg.n_steps()
-    xs = _pece_history(f, (s0.d, s0.l), cfg.sigma, cfg.h, n,
-                       cfg.corrector_passes)
-    finite = np.isfinite(xs).all(axis=1)
-    if not finite.all():
-        raise DivergenceError.at_step(int(np.argmin(finite)), cfg.h)
-    times = np.arange(n + 1, dtype=float) * cfg.h
-    return Trajectory(times, xs, FRACTIONAL, params, cfg)
+    traj, = caputo_solve_batch([(params, cfg, s0)])
+    if isinstance(traj, Exception):
+        raise traj
+    return traj
 
 
 def scalar_caputo_solve(lambda_coeff: float, sigma: float, y0: float,
@@ -200,11 +249,12 @@ def scalar_caputo_solve(lambda_coeff: float, sigma: float, y0: float,
                            corrector_passes=corrector_passes)
     lam = float(lambda_coeff)
 
-    def f(x):
-        return (lam * x[0],)
+    def f(y):
+        return (lam * y,)
 
-    ys = _pece_history(f, (y0,), sigma, h, cfg.n_steps(), corrector_passes)
-    return ys[:, 0].copy()
+    ys = _pece_history([f], [(y0,)], [sigma], h, cfg.n_steps(),
+                       corrector_passes)
+    return ys[0, :, 0]
 
 
 @dataclass(frozen=True)

@@ -127,20 +127,22 @@ def rates(params: ModelParams, d: float, l: float):
 def equilibria(params: ModelParams):
     """All fixed points: extinction E1, prey-only E2, coexistence E3.
 
-    E3 = (beta/p, (alpha/p)*(1 - beta/(p*capacity))). When p or capacity
-    is 0 the point is undefined and is reported non-existent rather than
-    raising.
+    E3 = (beta/p, (alpha/p)*(1 - beta/(p*capacity))). When p*capacity is
+    0, because p or capacity is 0 or their product underflows, the point
+    is undefined and is reported non-existent rather than raising.
     """
     out = [
         Equilibrium(E1, State(0.0, 0.0)),
         Equilibrium(E2, State(params.capacity, 0.0)),
     ]
-    if params.p == 0.0 or params.capacity == 0.0:
-        zero = "p" if params.p == 0.0 else "capacity"
+    pc = params.p * params.capacity
+    if pc == 0.0:
+        zero = ("p = 0" if params.p == 0.0 else "capacity = 0"
+                if params.capacity == 0.0 else "p*capacity underflows to 0")
         out.append(Equilibrium(E3, State(math.nan, math.nan), exists=False,
-                               reason=f"{zero} = 0: no coexistence point"))
+                               reason=f"{zero}: no coexistence point"))
     else:
-        margin = 1.0 - params.beta / (params.p * params.capacity)
+        margin = 1.0 - params.beta / pc
         point = State(params.beta / params.p, params.alpha / params.p * margin)
         reason = None if margin > 0.0 else "beta >= p*capacity"
         out.append(Equilibrium(E3, point, exists=margin > 0.0, reason=reason))

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fractional import FractionalConfig, caputo_solve
+from .fractional import FractionalConfig, caputo_solve, caputo_solve_batch
 from .model import (EULER, FRACTIONAL, MICKENS, REFERENCE, SCHEMES,
                     ModelParams, State, Trajectory)
 from .regions import (check_trajectory, continuous_region, euler_region,
@@ -85,6 +85,27 @@ def solve_scenario(sc: Scenario) -> Trajectory:
         return caputo_solve(sc.params, cfg, sc.initial)
     cfg = SchemeConfig(h=sc.h, t_end=sc.t_end, scheme=sc.scheme)
     return iterate(sc.params, cfg, sc.initial)
+
+
+def _solve_fractional(scenarios) -> dict:
+    """Name -> trajectory, or the error its solve raised, of each
+    fractional scenario; those sharing (h, t_end) are solved as one batch."""
+    solved = {}
+    groups = {}
+    for sc in scenarios:
+        if sc.scheme != FRACTIONAL:
+            continue
+        try:
+            cfg = FractionalConfig(sigma=sc.sigma, h=sc.h, t_end=sc.t_end)
+        except ValueError as exc:
+            solved[sc.name] = exc
+            continue
+        groups.setdefault((sc.h, sc.t_end), []).append((sc, cfg))
+    for group in groups.values():
+        results = caputo_solve_batch([(sc.params, cfg, sc.initial)
+                                      for sc, cfg in group])
+        solved.update((sc.name, res) for (sc, _), res in zip(group, results))
+    return solved
 
 
 def scheme_region(sc: Scenario):
@@ -198,15 +219,20 @@ def _verification_text(sc: Scenario, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_scenario(sc: Scenario, out_dir):
+def run_scenario(sc: Scenario, out_dir, traj=None):
     """Solve one scenario and write its artifacts.
 
+    ``traj`` is the scenario's trajectory when it is already solved, or
+    the exception its solve raised, which is raised here; None solves it.
     Returns (paths, violation_report) where the report is None unless the
     scenario requested verification.
     """
+    if isinstance(traj, Exception):
+        raise traj
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = solve_scenario(sc)
+    if traj is None:
+        traj = solve_scenario(sc)
     paths = []
     report = None
     if "timeseries" in sc.outputs or "phase" in sc.outputs:
@@ -224,14 +250,25 @@ def run_scenario(sc: Scenario, out_dir):
 
 
 def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
-    """Run a batch in a thread pool; artifact files never collide by name."""
+    """Run a batch; artifact files never collide by name.
+
+    Fractional scenarios that share (h, t_end) are first solved together
+    by one :func:`caputo_solve_batch` call.  Then each scenario runs
+    through :func:`run_scenario` in a thread pool, which solves the
+    classical ones and writes every artifact.  A scenario whose solve
+    failed still lets the others write theirs; the first such error in
+    scenario order is raised once all have run.
+    """
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique within a batch")
+    solved = _solve_fractional(scenarios)
     if workers is None:
         workers = min(len(scenarios), os.cpu_count() or 1) or 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda sc: run_scenario(sc, out_dir), scenarios))
+        futures = [pool.submit(run_scenario, sc, out_dir, solved.get(sc.name))
+                   for sc in scenarios]
+    results = [future.result() for future in futures]
     paths = [p for ps, _ in results for p in ps]
     reports = [r for _, r in results if r is not None]
     return paths, reports

@@ -193,7 +193,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     the admissible orders coincides with the continuous one).  Criterion
     degeneracies come back as ``non-hyperbolic`` or ``out-of-criterion``
     classifications rather than exceptions; so do points whose Jacobian
-    is undefined (capacity 0, where D/capacity has no value).
+    is undefined (capacity 0, where D/capacity has no value) or overflows
+    (extreme unvalidated parameters).
     """
     if scheme not in (REFERENCE, EULER, MICKENS, FRACTIONAL):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -207,23 +208,29 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
 
     reports = []
     for eq in equilibria(params):
-        undefined = not eq.exists and not (math.isfinite(eq.point.d)
-                                           and math.isfinite(eq.point.l))
-        if undefined or params.capacity == 0.0:
-            reason = eq.reason if undefined else \
-                "capacity = 0: the Jacobian divides by the capacity"
+        reason = None
+        if not eq.exists and not (math.isfinite(eq.point.d)
+                                  and math.isfinite(eq.point.l)):
+            reason = eq.reason
+        elif params.capacity == 0.0:
+            reason = "capacity = 0: the Jacobian divides by the capacity"
+        else:
+            try:
+                if scheme == EULER:
+                    jac = jacobian_euler(params, h, eq.point)
+                elif scheme == MICKENS:
+                    jac = jacobian_mickens(params, h, eq.point)
+                else:
+                    jac = jacobian_continuous(params, eq.point)
+            except OverflowError:
+                reason = f"the {scheme} Jacobian overflows at this point"
+        if reason is not None:
             reports.append(StabilityReport(
                 equilibrium=eq, scheme=scheme, jacobian=None, char_poly=None,
                 eigenvalues=None, classification=OUT_OF_CRITERION,
                 criterion_details={"reason": reason}))
             continue
 
-        if scheme == EULER:
-            jac = jacobian_euler(params, h, eq.point)
-        elif scheme == MICKENS:
-            jac = jacobian_mickens(params, h, eq.point)
-        else:
-            jac = jacobian_continuous(params, eq.point)
         poly = characteristic_quadratic(jac)
         eig = _eigenvalues(jac, poly)
 

@@ -3,6 +3,13 @@ from hypothesis import strategies as st
 
 from predprey import ModelParams, State
 
+# the benchmark corpus's failing draw (bench/workloads.py, Corpus.DEFECT):
+# solved alone at h = 0.25 to t = 100 it diverges at step 388
+DEFECT_SIGMA = 0.9995984281287198
+DEFECT_PARAMS = ModelParams(0.056855987345937775, 0.46495492358440327,
+                            0.693078530037033, 1.0)
+DEFECT_INITIAL = State(0.21802292303380175, 0.27565498163756413)
+
 
 @pytest.fixture
 def params():

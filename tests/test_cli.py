@@ -125,6 +125,17 @@ class TestStability:
         assert [row[:2] for row in rows] == ["E1", "E2", "E3"]
         assert all("out-of-criterion [reason=capacity = 0" in row for row in rows)
 
+    @pytest.mark.parametrize("flags,reason", [
+        (("--p", 1e-200, "--capacity", 1e-200), "p*capacity underflows to 0"),
+        (("--scheme", "mickens", "--beta", -1000, "--h", 1),
+         "the mickens Jacobian overflows"),
+    ])
+    def test_extreme_parameters_are_out_of_criterion(self, capsys, flags,
+                                                     reason):
+        assert run_cli("stability", *flags) == 0
+        e3 = capsys.readouterr().out.splitlines()[3]
+        assert e3.startswith("E3 ") and f"out-of-criterion [reason={reason}" in e3
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"
         assert run_cli("stability", "--scheme", "mickens",

@@ -19,6 +19,7 @@ from predprey import (
     ModelParams,
     State,
     caputo_solve,
+    caputo_solve_batch,
     fractional_conservation_bound,
     mittag_leffler,
     scalar_caputo_solve,
@@ -30,6 +31,8 @@ from predprey.fractional import (
 )
 from predprey.model import rates
 from predprey.schemes import reference_solve
+
+from conftest import DEFECT_INITIAL, DEFECT_PARAMS, DEFECT_SIGMA, valid_params
 
 # c[m] = (m+1)^1.95 + (m-1)^1.95 - 2 m^1.95 at sigma = 0.95
 KERNEL_095 = {1: 1.8637453156993822, 2: 1.7914667723626688,
@@ -87,15 +90,40 @@ def _rowwise_rel_diff(states, ref):
 H_SYSTEM = 0.1     # stays bounded at every sigma out to 4000 steps
 
 
+def _direct_system(params, s0, n, sigma, passes):
+    return _direct_pece_history(lambda x: np.array(rates(params, x[0], x[1])),
+                                np.array([s0.d, s0.l]), sigma, H_SYSTEM, n,
+                                passes)
+
+
 def _system_against_direct_sum(params, s0, n, sigma, passes):
     cfg = FractionalConfig(sigma=sigma, h=H_SYSTEM, t_end=n * H_SYSTEM,
                            corrector_passes=passes)
     traj = caputo_solve(params, cfg, s0)
     assert len(traj) == n + 1
-    ref = _direct_pece_history(lambda x: np.array(rates(params, x[0], x[1])),
-                               np.array([s0.d, s0.l]), sigma, H_SYSTEM, n,
-                               passes)
-    return _rowwise_rel_diff(traj.states, ref)
+    return _rowwise_rel_diff(traj.states,
+                             _direct_system(params, s0, n, sigma, passes))
+
+
+def _outcome(result):
+    """A solve's states, or its error's type and step, for comparison."""
+    if isinstance(result, Exception):
+        return type(result), getattr(result, "step", None)
+    return result.states
+
+
+def _solo_outcome(params, cfg, s0):
+    try:
+        with np.errstate(all="ignore"):
+            return _outcome(caputo_solve(params, cfg, s0))
+    except (DivergenceError, ValueError) as exc:
+        return _outcome(exc)
+
+
+def _same_outcome(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 class TestFractionalConfig:
@@ -224,6 +252,19 @@ class TestAgainstDirectSum:
     def test_system(self, params, s0, n, sigma, passes):
         assert _system_against_direct_sum(params, s0, n, sigma, passes) <= 1e-12
 
+    def test_system_in_a_batch(self, params, s0, n, sigma, passes):
+        # the same run as the middle member of three, each checked against
+        # its own direct sum
+        members = [(0.5 + 0.5 * sigma, State(s0.l, s0.d)), (sigma, s0),
+                   (sigma, State(0.5, 0.1))]
+        runs = [(params, FractionalConfig(sigma=sg, h=H_SYSTEM,
+                                          t_end=n * H_SYSTEM,
+                                          corrector_passes=passes), start)
+                for sg, start in members]
+        for traj, (sg, start) in zip(caputo_solve_batch(runs), members):
+            ref = _direct_system(params, start, n, sg, passes)
+            assert _rowwise_rel_diff(traj.states, ref) <= 1e-12
+
     def test_scalar(self, n, sigma, passes):
         h = 1.0 / n
         ys = scalar_caputo_solve(-1.0, sigma, 1.0, h, 1.0,
@@ -239,6 +280,62 @@ class TestAgainstDirectSum:
 def test_system_matches_direct_sum_property(sigma, n):
     assert _system_against_direct_sum(DEFAULT_PARAMS, State(0.2, 0.3), n,
                                       sigma, 1) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(draws=st.lists(st.tuples(valid_params(), st.floats(0.5, 1.0),
+                                st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=6),
+       n=st.integers(1, 300), passes=st.sampled_from([1, 3]))
+def test_batch_members_equal_solo_solves(draws, n, passes):
+    runs = [(params, FractionalConfig(sigma=sigma, h=0.25, t_end=n * 0.25,
+                                      corrector_passes=passes), State(d0, l0))
+            for params, sigma, d0, l0 in draws]
+    with np.errstate(all="ignore"):
+        batch = caputo_solve_batch(runs)
+    assert len(batch) == len(runs)
+    for result, run in zip(batch, runs):
+        assert _same_outcome(_outcome(result), _solo_outcome(*run))
+
+
+class TestBatch:
+    def _runs(self, params, sigmas, starts, h=0.25, t_end=100.0):
+        return [(params, FractionalConfig(sigma=s, h=h, t_end=t_end), x0)
+                for s, x0 in zip(sigmas, starts)]
+
+    def test_diverging_member_leaves_the_others_exact(self, params, s0):
+        runs = self._runs(params, (0.8, 0.9), (s0, State(0.6, 0.1)))
+        runs.insert(1, (DEFECT_PARAMS,
+                        FractionalConfig(sigma=DEFECT_SIGMA, h=0.25,
+                                         t_end=100.0),
+                        DEFECT_INITIAL))
+        with np.errstate(all="ignore"):
+            first, defect, last = caputo_solve_batch(runs)
+        assert isinstance(defect, DivergenceError)
+        assert defect.step == 388 and defect.time == 388 * 0.25
+        for traj, run in ((first, runs[0]), (last, runs[2])):
+            solo = caputo_solve(*run)
+            assert np.array_equal(traj.states, solo.states)
+            assert np.array_equal(traj.times, solo.times)
+            assert traj.config is run[1] and traj.params is run[0]
+
+    def test_negative_start_is_returned_not_raised(self, params, s0):
+        runs = self._runs(params, (0.9, 0.9), (State(-0.1, 0.3), s0))
+        bad, good = caputo_solve_batch(runs)
+        assert isinstance(bad, ValueError) and "non-negative" in str(bad)
+        assert np.array_equal(good.states, caputo_solve(*runs[1]).states)
+
+    @pytest.mark.parametrize("other", [dict(h=0.5), dict(t_end=50.0),
+                                       dict(corrector_passes=2)])
+    def test_mismatched_grid_rejected(self, params, s0, other):
+        base = dict(sigma=0.9, h=0.25, t_end=100.0)
+        runs = [(params, FractionalConfig(**base), s0),
+                (params, FractionalConfig(**{**base, **other}), s0)]
+        with pytest.raises(ValueError, match="share h, t_end"):
+            caputo_solve_batch(runs)
+
+    def test_empty_batch(self):
+        assert caputo_solve_batch([]) == []
 
 
 class TestSystemSolver:

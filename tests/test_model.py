@@ -85,6 +85,14 @@ class TestEquilibria:
         assert "p = 0" in e3.reason
         assert math.isnan(e3.point.d)
 
+    def test_underflowing_product_reports_missing_coexistence(self):
+        # both factors are nonzero, but p*capacity rounds to 0
+        p = ModelParams.unchecked(0.05, 0.3, 1e-200, 1e-200)
+        e3 = equilibria(p)[2]
+        assert not e3.exists
+        assert "p*capacity underflows to 0" in e3.reason
+        assert math.isnan(e3.point.d) and math.isnan(e3.point.l)
+
     def test_weak_predation_reports_missing_coexistence(self):
         p = ModelParams.unchecked(0.05, 0.5, 0.4, 1.0)   # beta > p*C
         e3 = equilibria(p)[2]

@@ -15,6 +15,7 @@ from predprey import (
     REFERENCE,
     CompareResult,
     ConfigError,
+    DivergenceError,
     ModelParams,
     Scenario,
     State,
@@ -35,6 +36,8 @@ from predprey import (
 from predprey.regions import (continuous_region, euler_region,
                               fractional_region, mickens_region)
 from predprey.runner import PRESETS, CSV_HEADER, STANDARD_INITIALS
+
+from conftest import DEFECT_INITIAL, DEFECT_PARAMS, DEFECT_SIGMA
 
 
 def short_scenario(name="short", **kw):
@@ -209,10 +212,47 @@ class TestRunScenario:
         assert "violation at index 1" in text
         assert report.violated_quantity in text
 
+    def test_given_trajectory_or_error_is_used(self, tmp_path):
+        sc = short_scenario(name="given", outputs=("timeseries",))
+        traj = solve_scenario(short_scenario(scheme=MICKENS))
+        paths, _ = run_scenario(sc, tmp_path, traj)
+        written = trajectory_from_csv(paths[0])
+        assert np.array_equal(written.states, traj.states)
+        with pytest.raises(DivergenceError, match="step 3"):
+            run_scenario(sc, tmp_path / "failed",
+                         DivergenceError.at_step(3, 0.25))
+        assert not (tmp_path / "failed").exists()
+
     def test_batch_rejects_duplicate_names(self, tmp_path):
         scs = [short_scenario(name="dup"), short_scenario(name="dup")]
         with pytest.raises(ValueError, match="unique"):
             run_scenarios(scs, tmp_path)
+
+    def test_diverging_fractional_run_spares_the_others(self, tmp_path):
+        both = ("timeseries", "verify")
+        scs = [Scenario(name="defect", scheme=FRACTIONAL, h=0.25, t_end=100.0,
+                        sigma=DEFECT_SIGMA, params=DEFECT_PARAMS,
+                        initial=DEFECT_INITIAL, outputs=both),
+               short_scenario(name="ref", outputs=both),
+               Scenario(name="frac", scheme=FRACTIONAL, h=0.25, t_end=100.0,
+                        sigma=0.9, outputs=both),
+               short_scenario(name="nsfd", scheme=MICKENS, outputs=both),
+               short_scenario(name="frac_short", scheme=FRACTIONAL,
+                              outputs=both),
+               # fails too, but later in scenario order
+               short_scenario(name="bad_sigma", scheme=FRACTIONAL, sigma=1.5,
+                              outputs=both)]
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            run_scenarios(scs, tmp_path, workers=2)
+        assert exc.value.step == 388
+        scs = scs[:-1]
+        names = [sc.name for sc in scs[1:]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{n}{suffix}" for n in names
+            for suffix in (".csv", "_verification.txt"))
+        for sc in scs[1:]:
+            written = trajectory_from_csv(tmp_path / f"{sc.name}.csv")
+            assert np.array_equal(written.states, solve_scenario(sc).states)
 
     def test_batch_collects_everything(self, tmp_path):
         scs = [short_scenario(name="a", outputs=("timeseries", "verify")),

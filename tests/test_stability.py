@@ -267,6 +267,30 @@ class TestClassifyEdgeCases:
             assert rep.jacobian is None
             assert "capacity = 0" in rep.criterion_details["reason"]
 
+    @pytest.mark.parametrize("scheme,arg", [(REFERENCE, None), (EULER, 0.25),
+                                            (MICKENS, 0.25), (FRACTIONAL, 0.9)])
+    def test_underflowing_product_is_out_of_criterion(self, scheme, arg):
+        p = ModelParams.unchecked(0.05, 0.3, 1e-200, 1e-200)
+        rep = _by_label(classify(p, scheme, arg))[E3]
+        assert rep.classification == OUT_OF_CRITERION
+        assert rep.jacobian is None
+        assert "underflows" in rep.criterion_details["reason"]
+
+    @pytest.mark.parametrize("params,h,labels", [
+        # beta*h = -1000: exp(-beta*h) in mickens_phi overflows
+        (ModelParams.unchecked(0.05, -1000.0, 0.4, 1.0), 1.0, (E1, E2, E3)),
+        # the Jacobian's denominator squared overflows at E2
+        (ModelParams.unchecked(1e200, 0.3, 0.4, 1e-200), 0.25, (E2,)),
+    ])
+    def test_overflowing_mickens_jacobian_is_out_of_criterion(self, params, h,
+                                                             labels):
+        reports = _by_label(classify(params, MICKENS, h))
+        for label in labels:
+            rep = reports[label]
+            assert rep.classification == OUT_OF_CRITERION
+            assert rep.jacobian is None
+            assert "overflows" in rep.criterion_details["reason"]
+
     def test_weak_predation_is_out_of_criterion(self):
         p = ModelParams.unchecked(0.05, 0.5, 0.4, 1.0)
         rep = _by_label(classify(p, REFERENCE))[E3]
