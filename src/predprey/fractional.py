@@ -97,12 +97,12 @@ _NEAR = 32
 
 def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                   corrector_passes: int) -> np.ndarray:
-    """Run the predictor-corrector for B members on one uniform grid.
+    """Run the predictor-corrector for B two-component members on one grid.
 
-    Member i has its own field ``fields[i]`` (a map from the state floats,
-    as arguments, to a sequence of rates), start ``x0s[i]`` and order
-    ``sigmas[i]``; all share h, the step count and the corrector passes.
-    Returns the states, shape (B, n_steps + 1, dim).
+    Member i has its own field ``fields[i]`` (a map f(d, l) -> (rate_d,
+    rate_l) on floats), start ``x0s[i]`` (a pair) and order ``sigmas[i]``;
+    all share h, the step count and the corrector passes.  Returns the
+    states, shape (B, n_steps + 1, 2).
 
     Step n needs the predictor sum P_n = sum_{j<=n} d[n-j] F_j and the
     corrector sum H_n = a_{0,n+1} F_0 + sum_{1<=j<=n} c[n-j+1] F_j.  Both
@@ -114,25 +114,26 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     of length 2L per member (overlap-save: outputs L .. 2L-1 do not wrap),
     so a run costs O(n log^2 n).
 
-    Row k of ``hist`` holds (x_k, F_k) of every member once step k-1 has
-    written it.  Until then it gathers the far parts (P_{k-1}, H_{k-1}), so
-    each step adds them with one row.  They start at the j = 0 terms
-    d[k-1] F_0 and a_{0,k} F_0, and F_0 is stored as zero so the direct
-    and FFT sums skip j = 0.  The state update runs on Python floats one
-    member at a time, so each member's numbers do not depend on the batch
-    it is solved in.
+    Row k of ``hist`` holds (d_k, l_k, F_k) of every member once step k-1
+    has written it.  Until then it gathers the far parts (P_{k-1},
+    H_{k-1}), which the step adds to its near sums.  They start at the
+    j = 0 terms d[k-1] F_0 and a_{0,k} F_0, and F_0 is stored as zero so
+    the direct and FFT sums skip j = 0.  The state update runs on Python
+    floats one member at a time, so each member's numbers do not depend on
+    the batch it is solved in.
     """
     fft = np.fft    # numpy may load this submodule only on first use
-    x0s = [[float(v) for v in x0] for x0 in x0s]
-    members = [(f, x0, h ** s / math.gamma(s + 1.0),
+    x0s = [(float(d0), float(l0)) for d0, l0 in x0s]
+    members = [(f, d0, l0, h ** s / math.gamma(s + 1.0),
                 h ** s / math.gamma(s + 2.0))
-               for f, x0, s in zip(fields, x0s, sigmas)]
+               for f, (d0, l0), s in zip(fields, x0s, sigmas)]
     f0s = [f(*x0) for f, x0 in zip(fields, x0s)]
-    dim = len(x0s[0])
+    width = 4 * len(sigmas)
+    extra_passes = range(corrector_passes - 1)
     # lag-k weight of a source j >= 1: d[k] in the predictor, c[k+1] in
     # the corrector
     kernels = np.empty((len(sigmas), 2, n_steps))
-    hist = np.empty((n_steps + 1, len(sigmas), 2, dim))
+    hist = np.empty((n_steps + 1, len(sigmas), 2, 2))
     hist[0, :, 0] = x0s
     hist[0, :, 1] = 0.0
     for i, (s, f0) in enumerate(zip(sigmas, f0s)):
@@ -145,38 +146,48 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     near = np.ascontiguousarray(kernels[:, :, _NEAR - 1::-1])
     fs_by_member = hist[:, :, 1].swapaxes(0, 1)
     pending = hist.transpose(2, 3, 1, 0)
-    flat = hist.reshape(n_steps + 1, -1)
     # the near weights of step n, which sums sources b .. n
     lags = [near[:, :, -1 - i:] for i in range(_NEAR)]
-    for n in range(n_steps):
-        b = n - n % _NEAR
-        if b == n > 0:
-            # sources [n - size, n) are complete: add them to targets
-            # [n, n + size), which gather in rows n + 1 onward
-            size = n & -n
-            rows = min(size, n_steps - n)
-            srcs = fft.rfft(fs_by_member[:, n - size:n].swapaxes(1, 2),
-                            2 * size)
-            # one kernel and one component at a time, which keeps the
-            # temporaries of the largest blocks small; both factors of
-            # each product are (B, size + 1) with unit inner stride
-            for k in range(2):
-                spec = fft.rfft(kernels[:, k, :2 * size], 2 * size)
-                for c in range(dim):
-                    far = fft.irfft(srcs[:, c] * spec, 2 * size)
-                    pending[k, c, :, n + 1:n + 1 + rows] += \
-                        far[:, size:size + rows]
-        sums = lags[n - b] @ fs_by_member[:, b:n + 1]
-        sums += hist[n + 1]
-        row = []
-        for (f, x0, scale_p, scale_c), (hp, hc) in zip(members, sums.tolist()):
-            xp = [x + scale_p * u for x, u in zip(x0, hp)]
-            x1 = [x + scale_c * (u + v) for x, u, v in zip(x0, hc, f(*xp))]
-            for _ in range(corrector_passes - 1):
-                x1 = [x + scale_c * (u + v) for x, u, v in zip(x0, hc, f(*x1))]
-            row += x1
-            row += f(*x1)
-        flat[n + 1] = row
+    # a flat memoryview reads and writes float items much faster than
+    # numpy rows; member i's slots in row k start at k*width + 4*i
+    with memoryview(hist.reshape(-1)) as flat:
+        for n in range(n_steps):
+            b = n - n % _NEAR
+            if b == n > 0:
+                # sources [n - size, n) are complete: add them to targets
+                # [n, n + size), which gather in rows n + 1 onward
+                size = n & -n
+                rows = min(size, n_steps - n)
+                srcs = fft.rfft(fs_by_member[:, n - size:n].swapaxes(1, 2),
+                                2 * size)
+                # one kernel and one component at a time, which keeps the
+                # temporaries of the largest blocks small; both factors of
+                # each product are (B, size + 1) with unit inner stride
+                for k in range(2):
+                    spec = fft.rfft(kernels[:, k, :2 * size], 2 * size)
+                    for c in range(2):
+                        far = fft.irfft(srcs[:, c] * spec, 2 * size)
+                        pending[k, c, :, n + 1:n + 1 + rows] += \
+                            far[:, size:size + rows]
+            at = (n + 1) * width
+            for (f, d0, l0, scale_p, scale_c), ((pd, pl), (cd, cl)) in zip(
+                    members, (lags[n - b] @ fs_by_member[:, b:n + 1]).tolist()):
+                # near + far, the far part pending in this member's slots
+                pd += flat[at]
+                pl += flat[at + 1]
+                cd += flat[at + 2]
+                cl += flat[at + 3]
+                fd, fl = f(d0 + scale_p * pd, l0 + scale_p * pl)
+                d = d0 + scale_c * (cd + fd)
+                l = l0 + scale_c * (cl + fl)
+                for _ in extra_passes:
+                    fd, fl = f(d, l)
+                    d = d0 + scale_c * (cd + fd)
+                    l = l0 + scale_c * (cl + fl)
+                flat[at] = d
+                flat[at + 1] = l
+                flat[at + 2], flat[at + 3] = f(d, l)
+                at += 4
     return np.ascontiguousarray(hist[:, :, 0].swapaxes(0, 1))
 
 
@@ -249,10 +260,10 @@ def scalar_caputo_solve(lambda_coeff: float, sigma: float, y0: float,
                            corrector_passes=corrector_passes)
     lam = float(lambda_coeff)
 
-    def f(y):
-        return (lam * y,)
+    def f(y, _):
+        return lam * y, 0.0
 
-    ys = _pece_history([f], [(y0,)], [sigma], h, cfg.n_steps(),
+    ys = _pece_history([f], [(y0, 0.0)], [sigma], h, cfg.n_steps(),
                        corrector_passes)
     return ys[0, :, 0]
 
