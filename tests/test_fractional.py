@@ -241,13 +241,23 @@ class TestScalarSolver:
         assert np.abs(one - three).max() <= 1e-4
         assert abs(three[-1] - ML_095_AT_M1) <= 5e-3
 
+    def test_growth_across_near_block_edges(self):
+        # a growing solution over 260 steps, across the direct block's
+        # edges at 128 and 256
+        ys = scalar_caputo_solve(0.7, 0.7, 0.3, 0.01, 2.6, corrector_passes=2)
+        ref = _direct_pece_history(lambda x: 0.7 * x, np.array([0.3]), 0.7,
+                                   0.01, 260, 2)
+        assert ys.shape == (261,)
+        assert _rowwise_rel_diff(ys, ref) <= 1e-12
+
 
 @pytest.mark.parametrize("passes", [1, 3])
 @pytest.mark.parametrize("sigma", [0.5, 0.8, 0.95, 1.0])
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 400, 4000])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129,
+                               255, 256, 257, 400, 4000])
 class TestAgainstDirectSum:
     """The blocked-FFT history sums against the direct O(n^2) loop; the
-    step counts straddle the direct block of 32 and the FFT block sizes."""
+    step counts straddle the direct block of 128 and the FFT block sizes."""
 
     def test_system(self, params, s0, n, sigma, passes):
         assert _system_against_direct_sum(params, s0, n, sigma, passes) <= 1e-12
