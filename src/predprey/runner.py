@@ -8,6 +8,7 @@ the files unmodified.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -198,7 +199,8 @@ def stability_text(sc: Scenario) -> str:
     for rep in classify(sc.params, sc.scheme, arg):
         eq = rep.equilibrium
         point = (f"({eq.point.d:.6g}, {eq.point.l:.6g})"
-                 if rep.jacobian is not None else "(undefined)")
+                 if math.isfinite(eq.point.d) and math.isfinite(eq.point.l)
+                 else "(undefined)")
         detail = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                            for k, v in rep.criterion_details.items())
         extra = f", h_max={rep.step_bound:.6g}" if rep.step_bound else ""

@@ -125,8 +125,10 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
     1 - beta*h <= 0 (predator positivity is then no longer guaranteed).
     Only the reference scheme raises DivergenceError on non-finite states;
     Euler is left free to misbehave since exposing that is part of the
-    point of having it.  A step that divides by zero (capacity 0) has no
-    finite state either, and raises DivergenceError under every scheme.
+    point of having it.  A step that divides by zero (capacity 0), or
+    step constants that overflow (Mickens' phi once beta*h is below about
+    -709), give no finite state either: DivergenceError at step 1 under
+    every scheme.
     """
     if cfg.scheme == EULER and params.validated:
         slack = 1.0 - params.beta * cfg.h
@@ -135,7 +137,10 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
                 f"1 - beta*h = {slack:g} <= 0: Euler updates can drive the "
                 "predator population negative", StepSizeWarning, stacklevel=2)
 
-    step = _stepper(cfg.scheme, params, cfg.h)
+    try:
+        step = _stepper(cfg.scheme, params, cfg.h)
+    except OverflowError as exc:
+        raise DivergenceError.at_step(1, cfg.h) from exc
     n = cfg.n_steps()
     times = np.arange(n + 1, dtype=float) * cfg.h
     states = np.empty((n + 1, 2))

@@ -193,8 +193,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     the admissible orders coincides with the continuous one).  Criterion
     degeneracies come back as ``non-hyperbolic`` or ``out-of-criterion``
     classifications rather than exceptions; so do points whose Jacobian
-    is undefined (capacity 0, where D/capacity has no value) or overflows
-    (extreme unvalidated parameters).
+    is undefined (capacity 0, where D/capacity has no value), overflows or
+    divides by zero (extreme unvalidated parameters).
     """
     if scheme not in (REFERENCE, EULER, MICKENS, FRACTIONAL):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -224,6 +224,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
                     jac = jacobian_continuous(params, eq.point)
             except OverflowError:
                 reason = f"the {scheme} Jacobian overflows at this point"
+            except ZeroDivisionError:
+                reason = f"the {scheme} Jacobian divides by zero at this point"
         if reason is not None:
             reports.append(StabilityReport(
                 equilibrium=eq, scheme=scheme, jacobian=None, char_poly=None,
@@ -250,7 +252,10 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
 
         step_bound = None
         if scheme == EULER and eq.label == E3 and eq.exists:
-            step_bound = euler_step_bound(params)
+            try:
+                step_bound = euler_step_bound(params)
+            except ValueError:
+                pass    # p*capacity < 0 lets E3 exist with no positive bound
         reports.append(StabilityReport(
             equilibrium=eq, scheme=scheme, jacobian=jac, char_poly=poly,
             eigenvalues=eig, classification=label, criterion_details=details,

@@ -102,6 +102,14 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "(step 1)" in err
 
+    def test_overflowing_mickens_constants_exit_one(self, tmp_path, capsys):
+        code = run_cli("simulate", "--scheme", "mickens", "--beta", -1000,
+                       "--h", 1, "--output", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "(step 1)" in err
+
 
 class TestStability:
     def test_table_printed(self, capsys):
@@ -135,6 +143,14 @@ class TestStability:
         assert run_cli("stability", *flags) == 0
         e3 = capsys.readouterr().out.splitlines()[3]
         assert e3.startswith("E3 ") and f"out-of-criterion [reason={reason}" in e3
+
+    def test_finite_points_printed_without_a_jacobian(self, capsys):
+        assert run_cli("stability", "--scheme", "mickens", "--beta", -1000,
+                       "--h", 1) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].startswith("E1 (0, 0): out-of-criterion")
+        assert rows[1].startswith("E2 (1, 0): out-of-criterion")
+        assert all("the mickens Jacobian overflows" in row for row in rows)
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"

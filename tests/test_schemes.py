@@ -194,6 +194,14 @@ class TestIterate:
         assert info.value.step == 1
         assert info.value.time == 0.25
 
+    def test_overflowing_mickens_constants_diverge_at_first_step(self, s0):
+        # beta*h = -1000: exp(-beta*h) in mickens_phi overflows
+        p = ModelParams.unchecked(0.05, -1000.0, 0.4, 1.0)
+        with pytest.raises(DivergenceError) as info:
+            iterate(p, SchemeConfig(h=1.0, t_end=10.0, scheme=MICKENS), s0)
+        assert info.value.step == 1
+        assert info.value.time == 1.0
+
     def test_reference_divergence_detected(self):
         # inverted capacity turns logistic damping into superlinear growth
         p = ModelParams.unchecked(1.0, 0.5, 0.1, -1.0)

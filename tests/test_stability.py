@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from predprey import (
@@ -291,6 +291,13 @@ class TestClassifyEdgeCases:
             assert rep.jacobian is None
             assert "overflows" in rep.criterion_details["reason"]
 
+    def test_negative_product_drops_the_euler_step_bound(self):
+        # p*capacity < 0 lets E3 exist with p*capacity - beta = -0.1 <= 0
+        p = ModelParams.unchecked(0.05, -0.3, 0.4, -1.0)
+        rep = _by_label(classify(p, EULER, 0.25))[E3]
+        assert rep.equilibrium.exists
+        assert rep.step_bound is None
+
     def test_weak_predation_is_out_of_criterion(self):
         p = ModelParams.unchecked(0.05, 0.5, 0.4, 1.0)
         rep = _by_label(classify(p, REFERENCE))[E3]
@@ -314,3 +321,31 @@ def test_matignon_sector_agrees_with_routh_hurwitz(params, sigma):
         eig = np.linalg.eigvals(jacobian_continuous(params, rep.equilibrium.point))
         sector = all(abs(cmath.phase(lam)) > sigma * math.pi / 2 for lam in eig)
         assert sector == (rep.classification == SINK), rep.equilibrium.label
+
+
+# zero, unit, huge, tiny and subnormal magnitudes of either sign
+EXTREMES = [0.0, 1.0, 1e300, 1e-300, 2.2250738585072014e-308, 1e-310,
+            5e-324]
+extreme = st.one_of(st.sampled_from(EXTREMES + [-x for x in EXTREMES]),
+                    st.floats(-1e300, 1e300))
+positive = st.one_of(st.sampled_from([x for x in EXTREMES if x > 0.0]),
+                     st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.tuples(extreme, extreme, extreme, extreme),
+       scheme_arg=st.one_of(st.tuples(st.just(REFERENCE), st.none()),
+                            st.tuples(st.sampled_from([EULER, MICKENS]),
+                                      positive),
+                            st.tuples(st.just(FRACTIONAL),
+                                      st.floats(0.0, 1.0, exclude_min=True))))
+# E3 exists with p*capacity - beta <= 0, so there is no Euler step bound
+@example(values=(0.05, -0.3, 0.4, -1.0), scheme_arg=(EULER, 0.25))
+# phi = h = 1 and alpha*phi = -1: the Mickens denominator is 0 at E2
+@example(values=(-1.0, 0.0, 1.0, 1.0), scheme_arg=(MICKENS, 1.0))
+def test_classify_never_raises_on_unchecked_parameters(values, scheme_arg):
+    """Whatever the magnitudes, every equilibrium gets a report."""
+    scheme, arg = scheme_arg
+    with np.errstate(all="ignore"):
+        reports = classify(ModelParams.unchecked(*values), scheme, arg)
+    assert [r.equilibrium.label for r in reports] == [E1, E2, E3]
