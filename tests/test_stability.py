@@ -339,8 +339,6 @@ positive = st.one_of(st.sampled_from([x for x in EXTREMES if x > 0.0]),
                                       positive),
                             st.tuples(st.just(FRACTIONAL),
                                       st.floats(0.0, 1.0, exclude_min=True))))
-# E3 exists with p*capacity - beta <= 0, so there is no Euler step bound
-@example(values=(0.05, -0.3, 0.4, -1.0), scheme_arg=(EULER, 0.25))
 # phi = h = 1 and alpha*phi = -1: the Mickens denominator is 0 at E2
 @example(values=(-1.0, 0.0, 1.0, 1.0), scheme_arg=(MICKENS, 1.0))
 def test_classify_never_raises_on_unchecked_parameters(values, scheme_arg):
