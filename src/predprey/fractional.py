@@ -129,7 +129,6 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     the batch it is solved in.
     """
     fft = np.fft    # numpy may load this submodule only on first use
-    x0s = [(float(d0), float(l0)) for d0, l0 in x0s]
     members = [(f, d0, l0, h ** s / math.gamma(s + 1.0),
                 h ** s / math.gamma(s + 2.0))
                for f, (d0, l0), s in zip(fields, x0s, sigmas)]
@@ -205,38 +204,35 @@ def _finite_field(params: ModelParams):
 
 
 def caputo_solve_batch(runs) -> list:
-    """Solve several ``(params, cfg, s0)`` runs that share one grid at once.
+    """Solve several ``(params, cfg, s0)`` runs at once.
 
     Entry i equals ``caputo_solve(*runs[i])`` bit for bit, except that
     the error that call would raise is returned in its place: a
     ValueError for a negative start, a DivergenceError for a history that
     turns non-finite.  So one failing member costs the others nothing.
-    The history sums of all members advance together; raises ValueError
-    unless every cfg has the same h, t_end and corrector_passes.
+    Runs that share h, t_end and corrector_passes advance together.
     """
     runs = list(runs)
-    grids = {(cfg.h, cfg.t_end, cfg.corrector_passes) for _, cfg, _ in runs}
-    if len(grids) > 1:
-        raise ValueError("batch members must share h, t_end and "
-                         f"corrector_passes, got {sorted(grids)}")
-    if not runs:
-        return []
-    h, _, passes = grids.pop()
-    n = runs[0][1].n_steps()
-    xs = _pece_history([_finite_field(params) for params, _, _ in runs],
-                       [(s0.d, s0.l) for _, _, s0 in runs],
-                       [cfg.sigma for _, cfg, _ in runs], h, n, passes)
-    finite = np.isfinite(xs).all(axis=2)
-    out = []
-    for m, (params, cfg, s0) in enumerate(runs):
-        if s0.d < 0.0 or s0.l < 0.0:
-            out.append(ValueError("initial state must be non-negative, "
-                                  f"got ({s0.d}, {s0.l})"))
-        elif not finite[m].all():
-            out.append(DivergenceError.at_step(int(np.argmin(finite[m])), h))
-        else:
-            times = np.arange(n + 1, dtype=float) * h
-            out.append(Trajectory(times, xs[m], FRACTIONAL, params, cfg))
+    out = [None] * len(runs)
+    groups = {}
+    for i, (_, cfg, _) in enumerate(runs):
+        groups.setdefault((cfg.h, cfg.t_end, cfg.corrector_passes), []).append(i)
+    for (h, _, passes), members in groups.items():
+        params, cfgs, starts = zip(*(runs[i] for i in members))
+        n = cfgs[0].n_steps()
+        xs = _pece_history([_finite_field(p) for p in params],
+                           [(s0.d, s0.l) for s0 in starts],
+                           [cfg.sigma for cfg in cfgs], h, n, passes)
+        finite = np.isfinite(xs).all(axis=2)
+        times = np.arange(n + 1, dtype=float) * h
+        for m, (i, s0) in enumerate(zip(members, starts)):
+            if s0.d < 0.0 or s0.l < 0.0:
+                out[i] = ValueError("initial state must be non-negative, "
+                                    f"got ({s0.d}, {s0.l})")
+            elif not finite[m].all():
+                out[i] = DivergenceError.at_step(int(np.argmin(finite[m])), h)
+            else:
+                out[i] = Trajectory(times, xs[m], FRACTIONAL, params[m], cfgs[m])
     return out
 
 
@@ -269,7 +265,7 @@ def scalar_caputo_solve(lambda_coeff: float, sigma: float, y0: float,
     def f(y, _):
         return lam * y, 0.0
 
-    ys = _pece_history([f], [(y0, 0.0)], [sigma], h, cfg.n_steps(),
+    ys = _pece_history([f], [(float(y0), 0.0)], [sigma], h, cfg.n_steps(),
                        corrector_passes)
     return ys[0, :, 0]
 

@@ -33,7 +33,7 @@ E3 = "E3"
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Rate constants of the system.
+    """Rate constants of the system, stored as plain floats.
 
     The default constructor enforces the ordering
 
@@ -55,6 +55,7 @@ class ModelParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.validated:
             failed = [label for ok, label in self._ordering() if not ok]
             if failed:
@@ -79,10 +80,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class State:
-    """Prey and predator populations (d, l)."""
+    """Prey and predator populations (d, l), stored as plain floats."""
 
     d: float
     l: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", float(self.d))
+        object.__setattr__(self, "l", float(self.l))
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,7 @@ class Trajectory:
         return int(self.times.size)
 
     def state(self, i: int) -> State:
-        return State(float(self.states[i, 0]), float(self.states[i, 1]))
+        return State(self.states[i, 0], self.states[i, 1])
 
     @property
     def initial(self) -> State:

@@ -41,7 +41,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One solver run plus the artifacts requested from it."""
+    """One solver run plus the artifacts requested from it.
+
+    ``name`` is the artifacts' file stem and a gnuplot string literal.
+    """
 
     name: str
     params: ModelParams = DEFAULT_PARAMS
@@ -53,6 +56,9 @@ class Scenario:
     outputs: tuple = ("timeseries",)
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\'"):
+            raise ValueError(f"scenario name {self.name!r} is not a plain "
+                             "file stem (no /, \\ or ', not empty, . or ..)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         bad = [o for o in self.outputs if o not in OUTPUT_KINDS]
@@ -79,33 +85,30 @@ class Scenario:
         return cls(name=name, params=params, initial=initial, **given)
 
 
+def _config(sc: Scenario):
+    """The solver configuration of a scenario's scheme."""
+    if sc.scheme == FRACTIONAL:
+        return FractionalConfig(sigma=sc.sigma, h=sc.h, t_end=sc.t_end)
+    return SchemeConfig(h=sc.h, t_end=sc.t_end, scheme=sc.scheme)
+
+
 def solve_scenario(sc: Scenario) -> Trajectory:
     """Dispatch to the scheme-appropriate solver."""
-    if sc.scheme == FRACTIONAL:
-        cfg = FractionalConfig(sigma=sc.sigma, h=sc.h, t_end=sc.t_end)
-        return caputo_solve(sc.params, cfg, sc.initial)
-    cfg = SchemeConfig(h=sc.h, t_end=sc.t_end, scheme=sc.scheme)
-    return iterate(sc.params, cfg, sc.initial)
+    solve = caputo_solve if sc.scheme == FRACTIONAL else iterate
+    return solve(sc.params, _config(sc), sc.initial)
 
 
 def _solve_fractional(scenarios) -> dict:
     """Name -> trajectory, or the error its solve raised, of each
-    fractional scenario; those sharing (h, t_end) are solved as one batch."""
-    solved = {}
-    groups = {}
+    fractional scenario, all solved by one batch call."""
+    solved, runs = {}, {}
     for sc in scenarios:
-        if sc.scheme != FRACTIONAL:
-            continue
-        try:
-            cfg = FractionalConfig(sigma=sc.sigma, h=sc.h, t_end=sc.t_end)
-        except ValueError as exc:
-            solved[sc.name] = exc
-            continue
-        groups.setdefault((sc.h, sc.t_end), []).append((sc, cfg))
-    for group in groups.values():
-        results = caputo_solve_batch([(sc.params, cfg, sc.initial)
-                                      for sc, cfg in group])
-        solved.update((sc.name, res) for (sc, _), res in zip(group, results))
+        if sc.scheme == FRACTIONAL:
+            try:
+                runs[sc.name] = (sc.params, _config(sc), sc.initial)
+            except ValueError as exc:
+                solved[sc.name] = exc
+    solved.update(zip(runs, caputo_solve_batch(runs.values())))
     return solved
 
 
@@ -133,10 +136,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
     return path
 
 
-def trajectory_from_csv(path, scheme: str = "csv",
-                        params: Optional[ModelParams] = None,
-                        config=None) -> Trajectory:
-    """Re-read a trajectory CSV; numeric fields round-trip bit-exact."""
+def trajectory_from_csv(path) -> Trajectory:
+    """Re-read a trajectory CSV (scheme ``csv``); numbers round-trip bit-exact."""
     path = Path(path)
     lines = [ln for ln in path.read_text().split("\n") if ln]
     if not lines or lines[0] != CSV_HEADER:
@@ -146,7 +147,7 @@ def trajectory_from_csv(path, scheme: str = "csv",
     if bad is not None:
         raise ValueError(f"{path}: row {bad + 2} has {len(rows[bad])} columns")
     table = np.array(rows, dtype=float).reshape(-1, 3)
-    return Trajectory(table[:, 0], table[:, 1:], scheme, params, config)
+    return Trajectory(table[:, 0], table[:, 1:], "csv")
 
 # }}}
 
@@ -254,8 +255,8 @@ def run_scenario(sc: Scenario, out_dir, traj=None):
 def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
     """Run a batch; artifact files never collide by name.
 
-    Fractional scenarios that share (h, t_end) are first solved together
-    by one :func:`caputo_solve_batch` call.  Then each scenario runs
+    Fractional scenarios are first solved together by one
+    :func:`caputo_solve_batch` call.  Then each scenario runs
     through :func:`run_scenario` in a thread pool, which solves the
     classical ones and writes every artifact.  A scenario whose solve
     failed still lets the others write theirs; the first such error in

@@ -66,7 +66,9 @@ def _stepper(scheme: str, params: ModelParams, h: float):
 
     The parameters, h and the step constants are bound once as floats.
     Products are grouped exactly as the written-out maps group them
-    (alpha*h*x is (alpha*h)*x), so hoisting them changes no bit.
+    (alpha*h*x is (alpha*h)*x), so hoisting them changes no bit.  Step
+    constants that overflow (Mickens' phi once beta*h is below about -709)
+    give no finite first state: DivergenceError at step 1.
     """
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
                                 params.capacity)
@@ -77,7 +79,10 @@ def _stepper(scheme: str, params: ModelParams, h: float):
             return (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
                     l * (ph * d - bh + 1.0))
     elif scheme == MICKENS:
-        phi = mickens_phi(params, h)
+        try:
+            phi = mickens_phi(params, h)
+        except OverflowError as exc:
+            raise DivergenceError.at_step(1, h) from exc
         xi, aphi, pphi = 1.0 + alpha * phi, alpha * phi, p * phi
         decay = 1.0 + beta * phi
 
@@ -125,10 +130,9 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
     1 - beta*h <= 0 (predator positivity is then no longer guaranteed).
     Only the reference scheme raises DivergenceError on non-finite states;
     Euler is left free to misbehave since exposing that is part of the
-    point of having it.  A step that divides by zero (capacity 0), or
-    step constants that overflow (Mickens' phi once beta*h is below about
-    -709), give no finite state either: DivergenceError at step 1 under
-    every scheme.
+    point of having it.  Under every scheme a step that divides by zero
+    (capacity 0) raises DivergenceError at that step, and step constants
+    that overflow raise it at step 1.
     """
     if cfg.scheme == EULER and params.validated:
         slack = 1.0 - params.beta * cfg.h
@@ -137,10 +141,7 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
                 f"1 - beta*h = {slack:g} <= 0: Euler updates can drive the "
                 "predator population negative", StepSizeWarning, stacklevel=2)
 
-    try:
-        step = _stepper(cfg.scheme, params, cfg.h)
-    except OverflowError as exc:
-        raise DivergenceError.at_step(1, cfg.h) from exc
+    step = _stepper(cfg.scheme, params, cfg.h)
     n = cfg.n_steps()
     times = np.arange(n + 1, dtype=float) * cfg.h
     states = np.empty((n + 1, 2))
@@ -154,11 +155,6 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
                 flat[i + 1] = l
         except ZeroDivisionError as exc:
             raise DivergenceError.at_step(i // 2, cfg.h) from exc
-        except Exception as exc:
-            if hasattr(exc, "add_note"):
-                exc.add_note(f"while advancing step {i // 2} "
-                             f"at t = {times[i // 2 - 1]:g}")
-            raise
     if cfg.scheme == REFERENCE:
         finite = np.isfinite(states).all(axis=1)
         if not finite.all():

@@ -10,10 +10,12 @@ by descending magnitude, and added with compensated (Kahan) summation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 GAMMA_MAX_Z = 171.0     # gamma overflows IEEE doubles just above 171.62
 ML_MAX_ABS_Z = 50.0     # documented series range; see mittag_leffler
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)    # exp raises above this
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,11 @@ def mittag_leffler(alpha, beta_param, z, cfg: MLSeriesConfig | None = None):
     terms = []
     small_run = 0
     for k in range(cfg.max_terms):
-        magnitude = math.exp(k * log_abs_z - math.lgamma(alpha * k + beta_param))
-        if math.isinf(magnitude):
+        log_magnitude = k * log_abs_z - math.lgamma(alpha * k + beta_param)
+        if log_magnitude > _LOG_DOUBLE_MAX:
             raise OverflowError(
                 f"series term overflow at k={k} for E_({alpha:g},{beta_param:g})({z:g})")
+        magnitude = math.exp(log_magnitude)
         terms.append(-magnitude if (flip and k % 2 == 1) else magnitude)
         if magnitude < cfg.abs_tol:
             small_run += 1

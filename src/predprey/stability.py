@@ -129,9 +129,8 @@ def jacobian_mickens(params: ModelParams, h: float, s: State) -> np.ndarray:
 
 def characteristic_quadratic(jac: np.ndarray) -> Quadratic:
     """Monic characteristic polynomial of a 2x2 matrix."""
-    tr = float(jac[0, 0] + jac[1, 1])
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    return Quadratic(1.0, -tr, det)
+    return Quadratic(1.0, -(jac[0, 0] + jac[1, 1]),
+                     jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
 
 
 def euler_step_bound(params: ModelParams) -> float:
@@ -150,7 +149,6 @@ class StabilityReport:
     equilibrium: Equilibrium
     scheme: str
     jacobian: Optional[np.ndarray]
-    char_poly: Optional[Quadratic]
     eigenvalues: Optional[tuple]
     classification: str
     criterion_details: dict
@@ -228,8 +226,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
                 reason = f"the {scheme} Jacobian divides by zero at this point"
         if reason is not None:
             reports.append(StabilityReport(
-                equilibrium=eq, scheme=scheme, jacobian=None, char_poly=None,
-                eigenvalues=None, classification=OUT_OF_CRITERION,
+                equilibrium=eq, scheme=scheme, jacobian=None, eigenvalues=None,
+                classification=OUT_OF_CRITERION,
                 criterion_details={"reason": reason}))
             continue
 
@@ -257,7 +255,7 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
             except ValueError:
                 pass    # p*capacity < 0 lets E3 exist with no positive bound
         reports.append(StabilityReport(
-            equilibrium=eq, scheme=scheme, jacobian=jac, char_poly=poly,
-            eigenvalues=eig, classification=label, criterion_details=details,
+            equilibrium=eq, scheme=scheme, jacobian=jac, eigenvalues=eig,
+            classification=label, criterion_details=details,
             step_bound=step_bound))
     return reports

@@ -84,6 +84,26 @@ class TestSimulate:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../escaped", "it's", "a\\b", ".."])
+    def test_unsafe_section_name_exits_two(self, tmp_path, capsys, name):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"[{name}]\nt_end = 5\n")
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--config", cfg, "--output", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and repr(name) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.cfg"]
+
+    @pytest.mark.parametrize("name", ["../escaped", "it's", "", "."])
+    def test_unsafe_name_flag_exits_two(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--name", name, "--t-end", 5,
+                       "--output", out)
+        assert code == 2
+        assert "plain file stem" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_divergent_run_exits_one(self, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_cli("simulate", "--alpha", 1.0, "--beta", 0.5,

@@ -294,13 +294,17 @@ def test_system_matches_direct_sum_property(sigma, n):
 
 @settings(max_examples=40, deadline=None)
 @given(draws=st.lists(st.tuples(valid_params(), st.floats(0.5, 1.0),
-                                st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-                      min_size=1, max_size=6),
-       n=st.integers(1, 300), passes=st.sampled_from([1, 3]))
-def test_batch_members_equal_solo_solves(draws, n, passes):
-    runs = [(params, FractionalConfig(sigma=sigma, h=0.25, t_end=n * 0.25,
+                                st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                st.sampled_from([0.25, 0.5]),
+                                st.one_of(st.just(129), st.integers(1, 300)),
+                                st.sampled_from([1, 3])),
+                      min_size=1, max_size=6))
+def test_batch_members_equal_solo_solves(draws):
+    # each member draws its own grid, so a batch mixes grids and often
+    # holds two that differ only in h or only in the corrector passes
+    runs = [(params, FractionalConfig(sigma=sigma, h=h, t_end=n * h,
                                       corrector_passes=passes), State(d0, l0))
-            for params, sigma, d0, l0 in draws]
+            for params, sigma, d0, l0, h, n, passes in draws]
     with np.errstate(all="ignore"):
         batch = caputo_solve_batch(runs)
     assert len(batch) == len(runs)
@@ -337,12 +341,20 @@ class TestBatch:
 
     @pytest.mark.parametrize("other", [dict(h=0.5), dict(t_end=50.0),
                                        dict(corrector_passes=2)])
-    def test_mismatched_grid_rejected(self, params, s0, other):
+    def test_mixed_grids_equal_solo_solves(self, params, s0, other):
+        # the odd grid sits between two members of the shared one
         base = dict(sigma=0.9, h=0.25, t_end=100.0)
         runs = [(params, FractionalConfig(**base), s0),
-                (params, FractionalConfig(**{**base, **other}), s0)]
-        with pytest.raises(ValueError, match="share h, t_end"):
-            caputo_solve_batch(runs)
+                (params, FractionalConfig(**{**base, **other}), s0),
+                (params, FractionalConfig(**{**base, "sigma": 0.8}),
+                 State(0.6, 0.1))]
+        batch = caputo_solve_batch(runs)
+        assert len(batch) == len(runs)
+        for traj, run in zip(batch, runs):
+            solo = caputo_solve(*run)
+            assert np.array_equal(traj.states, solo.states)
+            assert np.array_equal(traj.times, solo.times)
+            assert traj.config is run[1]
 
     def test_empty_batch(self):
         assert caputo_solve_batch([]) == []

@@ -46,6 +46,18 @@ class TestModelParams:
         with pytest.raises(Exception):
             params.alpha = 0.1
 
+    def test_fields_stored_as_floats(self):
+        p = ModelParams(np.float64(0.05), np.float32(0.25), 2, np.float64(0.25))
+        fields = (p.alpha, p.beta, p.p, p.capacity)
+        assert [type(v) for v in fields] == [float] * 4
+        assert fields == (0.05, float(np.float32(0.25)), 2.0, 0.25)
+
+
+def test_state_stored_as_floats():
+    s = State(np.float64(0.2), 1)
+    assert (type(s.d), type(s.l)) == (float, float)
+    assert s == State(0.2, 1.0)
+
 
 class TestVectorField:
     def test_reference_point_values(self, params, s0):
@@ -111,6 +123,7 @@ class TestTrajectory:
         assert t.initial == State(1.0, 2.0)
         assert t.final == State(5.0, 6.0)
         assert t.state(1) == State(3.0, 4.0)
+        assert type(t.final.d) is float and type(t.final.l) is float
         np.testing.assert_array_equal(t.prey, [1.0, 3.0, 5.0])
         np.testing.assert_array_equal(t.predator, [2.0, 4.0, 6.0])
         np.testing.assert_array_equal(t.totals, [3.0, 7.0, 11.0])

@@ -60,6 +60,15 @@ class TestScenario:
         with pytest.raises(ValueError, match="unknown scheme"):
             Scenario(name="x", scheme="leapfrog")
 
+    @pytest.mark.parametrize("name", ["a/b", "a\\b", "it's", "", ".", ".."])
+    def test_unsafe_name_rejected(self, name):
+        with pytest.raises(ValueError, match="plain file stem"):
+            Scenario(name=name)
+
+    @pytest.mark.parametrize("name", ["run", "figure2_d0.2_l0.3", "a..b"])
+    def test_file_stem_names_accepted(self, name):
+        assert Scenario(name=name).name == name
+
     def test_unknown_output_rejected(self):
         with pytest.raises(ValueError, match="unknown outputs"):
             Scenario(name="x", outputs=("timeseries", "pdf"))
@@ -76,6 +85,15 @@ class TestSolveScenario:
     def test_grid_matches_step(self):
         traj = solve_scenario(short_scenario(h=0.5, t_end=4.0))
         assert np.array_equal(traj.times, 0.5 * np.arange(9))
+
+    @pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS, FRACTIONAL])
+    def test_numpy_scalar_inputs_give_the_same_bits(self, scheme):
+        floats = solve_scenario(short_scenario(scheme=scheme, t_end=50.0))
+        scalars = solve_scenario(short_scenario(
+            scheme=scheme, t_end=50.0,
+            params=ModelParams(*map(np.float64, (0.05, 0.3, 0.4, 1.0))),
+            initial=State(np.float64(0.2), np.float64(0.3))))
+        assert np.array_equal(scalars.states, floats.states)
 
 
 class TestSchemeRegion:

@@ -143,6 +143,14 @@ class TestMickensStep:
             assert s1.d >= 0.0
             assert s1.l >= 0.0
 
+    def test_overflowing_constants_diverge_at_first_step(self, s0):
+        # beta*h = -1000: exp(-beta*h) in mickens_phi overflows
+        p = ModelParams.unchecked(0.05, -1000.0, 0.4, 1.0)
+        with pytest.raises(DivergenceError) as info:
+            mickens_step(p, 1.0, s0)
+        assert info.value.step == 1
+        assert info.value.time == 1.0
+
 
 class TestRk4Step:
     def test_single_step_accuracy(self, params, s0):
@@ -201,6 +209,19 @@ class TestIterate:
             iterate(p, SchemeConfig(h=1.0, t_end=10.0, scheme=MICKENS), s0)
         assert info.value.step == 1
         assert info.value.time == 1.0
+
+    @pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
+    @pytest.mark.parametrize("capacity, start", [
+        (0.0, State(np.float64(0.2), np.float64(0.3))),
+        (np.float64(0.0), State(0.2, 0.3)),
+    ])
+    def test_numpy_scalar_inputs_diverge_at_first_step(self, scheme, capacity,
+                                                       start):
+        # numpy scalars would divide by zero into inf or nan without raising
+        p = ModelParams.unchecked(0.05, 0.3, 0.4, capacity)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            iterate(p, SchemeConfig(h=0.25, t_end=10.0, scheme=scheme), start)
+        assert info.value.step == 1
 
     def test_reference_divergence_detected(self):
         # inverted capacity turns logistic damping into superlinear growth

@@ -101,6 +101,11 @@ class TestMittagLeffler:
         with pytest.raises(OverflowError):
             mittag_leffler(0.95, 1.0, -51.0)
 
+    def test_series_term_overflow_is_reported(self):
+        # |z| is inside the cap, but the terms outgrow a double
+        with pytest.raises(OverflowError, match="series term overflow"):
+            mittag_leffler(0.3, 1.0, -10.0)
+
     @pytest.mark.parametrize("alpha,b,z", [
         (0.0, 1.0, 1.0),
         (-0.5, 1.0, 1.0),

@@ -323,6 +323,33 @@ def test_matignon_sector_agrees_with_routh_hurwitz(params, sigma):
         assert sector == (rep.classification == SINK), rep.equilibrium.label
 
 
+# c2 in +-[1e-3, 1e3]; c1 and c0 in [-1e6, 1e6], often near the unit circle
+leading = st.tuples(st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0])).map(
+    lambda pair: pair[0] * pair[1])
+coefficient = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(c2=leading, c1=coefficient, c0=coefficient)
+def test_routh_hurwitz_agrees_with_roots(c2, c1, c0):
+    q = Quadratic(c2, c1, c0)
+    m = q.monic()
+    assume(min(abs(m.c1), abs(m.c0)) >= 1e-9)
+    truth = all(z.real < 0.0 for z in q.roots())
+    assert routh_hurwitz_quadratic(q) == truth
+
+
+@settings(max_examples=400, deadline=None)
+@given(c2=leading, c1=coefficient, c0=coefficient)
+def test_schur_cohn_agrees_with_roots(c2, c1, c0):
+    q = Quadratic(c2, c1, c0)
+    sc = schur_cohn_quadratic(q)
+    assume(min(abs(sc.at_one), abs(sc.at_minus_one),
+               abs(abs(sc.at_zero) - 1.0)) >= 1e-9)
+    truth = all(abs(z) < 1.0 for z in q.roots())
+    assert sc.inside_unit_circle == truth
+
+
 # zero, unit, huge, tiny and subnormal magnitudes of either sign
 EXTREMES = [0.0, 1.0, 1e300, 1e-300, 2.2250738585072014e-308, 1e-310,
             5e-324]
