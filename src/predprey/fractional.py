@@ -299,5 +299,7 @@ def fractional_conservation_bound(params: ModelParams, w0: float,
 
     ``m`` is max(D(0), capacity) and A = (alpha + 4*beta)/4 * m.
     """
+    if params.beta == 0.0:
+        raise ValueError("beta = 0: the bound W(0) + A/beta divides by it")
     a = (params.alpha + 4.0 * params.beta) / 4.0 * m
     return ConservationBound(w0=float(w0), a=a, beta=params.beta)

@@ -13,7 +13,7 @@ advance exactly this right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -57,20 +57,16 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.validated:
-            failed = [label for ok, label in self._ordering() if not ok]
+            pc = self.p * self.capacity
+            failed = [label for ok, label in (
+                (0.0 < self.alpha, "0 < alpha"),
+                (self.alpha < self.beta, "alpha < beta"),
+                (self.beta < pc, "beta < p*capacity"),
+                (pc < 1.0, "p*capacity < 1")) if not ok]
             if failed:
                 raise ValueError(
                     "parameter ordering violated: " + ", ".join(failed)
                     + "; use ModelParams.unchecked to explore this regime")
-
-    def _ordering(self):
-        pc = self.p * self.capacity
-        return [
-            (0.0 < self.alpha, "0 < alpha"),
-            (self.alpha < self.beta, "alpha < beta"),
-            (self.beta < pc, "beta < p*capacity"),
-            (pc < 1.0, "p*capacity < 1"),
-        ]
 
     @classmethod
     def unchecked(cls, alpha, beta, p, capacity):
@@ -94,8 +90,8 @@ class State:
 class Equilibrium:
     """A fixed point of the flow, with its existence status.
 
-    ``exists`` is False when the defining condition fails (for E3 this is
-    1 - beta/(p*capacity) > 0); ``reason`` then says why.
+    ``exists`` is False when the point lies outside D, L >= 0 or, for E3,
+    when 1 - beta/(p*capacity) > 0 fails; ``reason`` then says why.
     """
 
     label: str
@@ -132,9 +128,9 @@ def rates(params: ModelParams, d: float, l: float):
 def equilibria(params: ModelParams):
     """All fixed points: extinction E1, prey-only E2, coexistence E3.
 
-    E3 = (beta/p, (alpha/p)*(1 - beta/(p*capacity))). When p*capacity is
-    0, because p or capacity is 0 or their product underflows, the point
-    is undefined and is reported non-existent rather than raising.
+    E3 = (beta/p, (alpha/p)*(1 - beta/(p*capacity))). A point with a
+    negative coordinate, or an E3 left undefined by p*capacity = 0 (p or
+    capacity 0, or their product underflowing), is reported non-existent.
     """
     out = [
         Equilibrium(E1, State(0.0, 0.0)),
@@ -151,7 +147,9 @@ def equilibria(params: ModelParams):
         point = State(params.beta / params.p, params.alpha / params.p * margin)
         reason = None if margin > 0.0 else "beta >= p*capacity"
         out.append(Equilibrium(E3, point, exists=margin > 0.0, reason=reason))
-    return out
+    return [replace(eq, exists=False, reason="negative coordinate: outside D, L >= 0")
+            if eq.exists and min(eq.point.d, eq.point.l) < 0.0 else eq
+            for eq in out]
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,13 +59,20 @@ class ViolationReport:
         return self.first_violation_index is None
 
 
+def _divisor(value: float, name: str) -> float:
+    if value == 0.0:
+        raise ValueError(f"{name} = 0: the region's bound divides by it")
+    return value
+
+
 def continuous_region(params: ModelParams, s0: State) -> RegionSpec:
     """Flow-invariant region: D <= M and W <= (alpha + 4*beta)/(4*beta) * M
 
     with M = max(D(0), capacity).
     """
     m = max(s0.d, params.capacity)
-    w_bound = (params.alpha + 4.0 * params.beta) / (4.0 * params.beta) * m
+    w_bound = (params.alpha + 4.0 * params.beta) \
+        / _divisor(4.0 * params.beta, "beta") * m
     return RegionSpec(REFERENCE, w_bound, d_bound=m)
 
 
@@ -80,7 +87,7 @@ def euler_region(params: ModelParams, h: float) -> RegionSpec:
         raise ValueError(
             f"1 - beta*h = {slack:g} <= 0: the Euler feasibility argument "
             "needs beta*h < 1")
-    aux = (1.0 + params.alpha * h) / (params.p * h)
+    aux = (1.0 + params.alpha * h) / _divisor(params.p * h, "p*h")
     return RegionSpec(EULER, params.capacity, aux_bound=aux)
 
 
@@ -94,7 +101,7 @@ def mickens_region(params: ModelParams, h: float) -> RegionSpec:
         raise ValueError("the Mickens W bound is only established for capacity 1")
     xi = 1.0 + params.alpha * mickens_phi(params, h)
     w_bound = (4.0 * params.alpha ** 2 + xi * params.beta ** 2) \
-        / (4.0 * params.alpha * params.beta)
+        / _divisor(4.0 * params.alpha * params.beta, "alpha*beta")
     return RegionSpec(MICKENS, w_bound, d_bound=1.0)
 
 

@@ -128,25 +128,24 @@ def scheme_region(sc: Scenario):
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
     """Write ``t,D,L`` rows with 17 significant digits and LF endings."""
     path = Path(path)
-    row = "{:.17g},{:.17g},{:.17g}".format
-    lines = [CSV_HEADER]
-    lines += map(row, traj.times.tolist(), traj.prey.tolist(),
-                 traj.predator.tolist())
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    values = np.column_stack([traj.times, traj.states]).ravel().tolist()
+    body = "%.17g,%.17g,%.17g\n" * len(traj) % tuple(values)
+    path.write_text(f"{CSV_HEADER}\n{body}", newline="\n")
     return path
 
 
 def trajectory_from_csv(path) -> Trajectory:
     """Re-read a trajectory CSV (scheme ``csv``); numbers round-trip bit-exact."""
     path = Path(path)
-    lines = [ln for ln in path.read_text().split("\n") if ln]
+    lines = list(filter(None, path.read_text().split("\n")))
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-    rows = [line.split(",") for line in lines[1:]]
-    bad = next((i for i, cells in enumerate(rows) if len(cells) != 3), None)
-    if bad is not None:
-        raise ValueError(f"{path}: row {bad + 2} has {len(rows[bad])} columns")
-    table = np.array(rows, dtype=float).reshape(-1, 3)
+    commas = [line.count(",") for line in lines]
+    if commas.count(2) != len(commas):
+        bad = next(i for i, n in enumerate(commas) if n != 2)
+        raise ValueError(f"{path}: row {bad + 1} has {commas[bad] + 1} columns")
+    # the header's three cells lead the one split over all rows
+    table = np.array(",".join(lines).split(",")[3:], dtype=float).reshape(-1, 3)
     return Trajectory(table[:, 0], table[:, 1:], "csv")
 
 # }}}
@@ -286,6 +285,13 @@ def write_gnuplot_script(csv_paths, out_path, title: str,
     """Emit a batch gnuplot script rendering the given CSVs to PNG."""
     out_path = Path(out_path)
     stem = out_path.stem
+
+    def plot(columns):
+        return "plot " + ", \\\n     ".join(
+            f"'{Path(p).name}' skip 1 using {using} with lines "
+            f"title '{Path(p).stem}{tag}'"
+            for p in csv_paths for using, tag in columns)
+
     lines = [
         "# generated by predprey; run with: gnuplot " + out_path.name,
         "set datafile separator ','",
@@ -296,22 +302,14 @@ def write_gnuplot_script(csv_paths, out_path, title: str,
         f"set title '{title}'",
         "set xlabel 't'",
         "set ylabel 'population'",
+        plot([("1:2", " D"), ("1:3", " L")]),
     ]
-    plot_parts = []
-    for p in csv_paths:
-        name = Path(p).name
-        label = Path(p).stem
-        plot_parts.append(f"'{name}' skip 1 using 1:2 with lines title '{label} D'")
-        plot_parts.append(f"'{name}' skip 1 using 1:3 with lines title '{label} L'")
-    lines.append("plot " + ", \\\n     ".join(plot_parts))
     if phase:
         lines += [
             f"set output '{stem}_phase.png'",
             "set xlabel 'D'",
             "set ylabel 'L'",
-            "plot " + ", \\\n     ".join(
-                f"'{Path(p).name}' skip 1 using 2:3 with lines title '{Path(p).stem}'"
-                for p in csv_paths),
+            plot([("2:3", "")]),
         ]
     out_path.write_text("\n".join(lines) + "\n", newline="\n")
     return out_path

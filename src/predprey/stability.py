@@ -48,8 +48,6 @@ class Quadratic:
     def monic(self) -> "Quadratic":
         if self.c2 == 0.0:
             raise ValueError("degenerate quadratic: c2 = 0")
-        if self.c2 == 1.0:
-            return self
         return Quadratic(1.0, self.c1 / self.c2, self.c0 / self.c2)
 
     def roots(self):

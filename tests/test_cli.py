@@ -164,6 +164,15 @@ class TestStability:
         e3 = capsys.readouterr().out.splitlines()[3]
         assert e3.startswith("E3 ") and f"out-of-criterion [reason={reason}" in e3
 
+    def test_negative_points_are_out_of_criterion(self, capsys):
+        assert run_cli("stability", "--scheme", "euler", "--beta", -0.3,
+                       "--capacity", -1) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[1].startswith("E2 (-1, 0): out-of-criterion")
+        assert rows[2].startswith("E3 (-0.75, 0.03125): out-of-criterion")
+        for row in rows[1:]:
+            assert "reason=negative coordinate: outside D, L >= 0]" in row
+
     def test_finite_points_printed_without_a_jacobian(self, capsys):
         assert run_cli("stability", "--scheme", "mickens", "--beta", -1000,
                        "--h", 1) == 0
@@ -199,6 +208,18 @@ class TestVerify:
                        "--d0", 0.5, "--l0", 1.5, "--strict",
                        "--output", tmp_path)
         assert code == 1
+
+    @pytest.mark.parametrize("flags,zero", [
+        (("--scheme", "euler", "--p", 0), "p*h = 0"),
+        (("--scheme", "mickens", "--alpha", 0), "alpha*beta = 0"),
+        (("--scheme", "reference", "--beta", 0), "beta = 0"),
+        (("--scheme", "fractional", "--beta", 0), "beta = 0"),
+    ])
+    def test_zero_divisor_exits_two(self, tmp_path, capsys, flags, zero):
+        code = run_cli("verify", *flags, "--output", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {zero}: ")
 
     def test_config_outputs_kept(self, tmp_path, capsys):
         cfg = tmp_path / "runs.cfg"

@@ -111,6 +111,28 @@ class TestEquilibria:
         assert not e3.exists
         assert "beta" in e3.reason
 
+    @pytest.mark.parametrize("params,missing", [
+        (ModelParams.unchecked(0.05, -0.3, 0.4, -1.0), [E2, E3]),
+        (ModelParams.unchecked(0.05, -1000.0, 0.4, 1.0), [E3]),
+        # the ordering holds, yet p and capacity are both negative
+        (ModelParams(0.05, 0.3, -0.5, -1.0), [E2, E3]),
+    ])
+    def test_negative_points_reported_missing(self, params, missing):
+        for eq in equilibria(params):
+            outside = min(eq.point.d, eq.point.l) < 0.0
+            assert outside == (eq.label in missing)
+            assert eq.exists == (not outside)
+            if outside:
+                assert eq.reason == "negative coordinate: outside D, L >= 0"
+
+    def test_zero_coordinate_keeps_a_point(self):
+        # beta = 0 puts E3 on the D = 0 axis, as -0.0 when p < 0
+        for p in (ModelParams.unchecked(0.05, 0.0, 0.4, 1.0),
+                  ModelParams.unchecked(-0.05, 0.0, -0.4, -1.0)):
+            e3 = equilibria(p)[2]
+            assert e3.point.d == 0.0 and e3.point.l > 0.0
+            assert e3.exists
+
 
 class TestTrajectory:
     def _traj(self, times, states):

@@ -1,4 +1,6 @@
 """Invariant-region construction and pointwise trajectory checks."""
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from predprey import (
     check_trajectory,
     continuous_region,
     euler_region,
+    fractional_conservation_bound,
     fractional_region,
     iterate,
     mickens_region,
@@ -101,6 +104,26 @@ class TestFractionalRegion:
         # W(0) + A/beta with A = (alpha + 4 beta)/4 * max(D0, C)
         assert region.numeric_bound == pytest.approx(1.5416666666666667,
                                                      rel=1e-15)
+
+
+class TestZeroDivisors:
+    @pytest.mark.parametrize("build,fields,zero", [
+        (lambda p: continuous_region(p, State(0.2, 0.3)), {"beta": 0.0}, "beta"),
+        (lambda p: euler_region(p, 0.25), {"p": 0.0}, "p*h"),
+        (lambda p: euler_region(p, 1e-10), {"p": 1e-320}, "p*h"),
+        (lambda p: mickens_region(p, 0.25), {"alpha": 0.0}, "alpha*beta"),
+        (lambda p: mickens_region(p, 0.25), {"beta": 0.0}, "alpha*beta"),
+        (lambda p: mickens_region(p, 0.25), {"alpha": 1e-200, "beta": 1e-200},
+         "alpha*beta"),
+        (lambda p: fractional_region(p, State(0.2, 0.3)), {"beta": 0.0}, "beta"),
+        (lambda p: fractional_conservation_bound(p, 0.5, 1.0), {"beta": 0.0},
+         "beta"),
+    ])
+    def test_zero_divisor_is_a_value_error(self, build, fields, zero):
+        rates = {"alpha": 0.05, "beta": 0.3, "p": 0.4, "capacity": 1.0}
+        params = ModelParams.unchecked(**{**rates, **fields})
+        with pytest.raises(ValueError, match=f"^{re.escape(zero)} = 0: "):
+            build(params)
 
 
 class TestRegionSpecValidation:

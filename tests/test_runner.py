@@ -1,11 +1,12 @@
 """Scenario execution, CSV round trips, gnuplot emission, and config files."""
+import hashlib
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predprey import (
@@ -149,6 +150,43 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="row 3"):
             trajectory_from_csv(bad)
 
+    @pytest.mark.parametrize("body,message", [
+        ("0,0.2\n0.25,0.2,0.3\n0.5,0.2,0.3\n", "row 2 has 2 columns"),
+        ("0,0.2,0.3\n0.25,0.2\n0.5,0.2,0.3\n", "row 3 has 2 columns"),
+        ("0,0.2,0.3\n0.25,0.2,0.3\n0.5,0.2\n", "row 4 has 2 columns"),
+        ("0,0.2,0.3\n0.25,0.2,0.3,0.4\n", "row 3 has 4 columns"),
+        # 2 + 4 cells add up to two full rows, but the rows are still ragged
+        ("0,0.2,0.3\n0.25,0.2\n0.5,0.2,0.3,0.4\n", "row 3 has 2 columns"),
+        # blank lines are skipped and not counted as rows
+        ("\n0,0.2,0.3\n\n\n0.25,0.2\n\n", "row 3 has 2 columns"),
+    ])
+    def test_names_the_first_bad_row(self, tmp_path, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,D,L\n" + body)
+        with pytest.raises(ValueError, match=f"bad.csv: {message}$"):
+            trajectory_from_csv(bad)
+
+    def test_header_only_file_has_no_trajectory(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t,D,L\n\n")
+        with pytest.raises(ValueError, match="nonempty"):
+            trajectory_from_csv(empty)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("t,D,L\n\n0,0.2,0.3\n\n\n0.25,0.5,-0\n\n")
+        back = trajectory_from_csv(path)
+        assert back.times.tolist() == [0.0, 0.25]
+        assert back.states.tolist() == [[0.2, 0.3], [0.5, -0.0]]
+        assert math.copysign(1.0, back.states[1, 1]) == -1.0
+
+    def test_preset_csv_bytes_are_frozen(self, tmp_path):
+        sc, = (s for s in preset_scenarios("figure2")
+               if s.name == "figure2_d0.2_l0.3")
+        path = trajectory_to_csv(solve_scenario(sc), tmp_path / "f.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5be3a09d6b6703dea5972bd50f9dec6d94de07d92b1e50748b150fe8f7e946e4")
+
 
 @st.composite
 def _any_trajectory(draw):
@@ -169,6 +207,26 @@ def test_csv_round_trip_is_bit_exact_for_any_doubles(traj):
         back = trajectory_from_csv(trajectory_to_csv(traj, Path(tmp) / "x.csv"))
     assert back.times.tobytes() == traj.times.tobytes()
     assert back.states.tobytes() == traj.states.tobytes()
+
+
+def _per_row_csv(traj) -> bytes:
+    """The CSV bytes as a writer formatting one row at a time gives them."""
+    row = "{:.17g},{:.17g},{:.17g}".format
+    lines = ["t,D,L", *map(row, traj.times.tolist(), traj.prey.tolist(),
+                           traj.predator.tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(traj=_any_trajectory())
+@example(traj=Trajectory(
+    np.array([-1e300, -0.0, 5e-324, 1.0, 1.7976931348623157e308]),
+    np.array([[-0.0, math.inf], [-math.inf, math.nan], [-math.nan, 5e-324],
+              [1 / 3, -2.2250738585072014e-308], [0.1, 1e16]]), "csv"))
+def test_csv_bytes_equal_the_per_row_writer(traj):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = trajectory_to_csv(traj, Path(tmp) / "x.csv").read_bytes()
+    assert raw == _per_row_csv(traj)
 
 
 class TestCompare:

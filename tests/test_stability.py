@@ -292,8 +292,9 @@ class TestClassifyEdgeCases:
             assert "overflows" in rep.criterion_details["reason"]
 
     def test_negative_product_drops_the_euler_step_bound(self):
-        # p*capacity < 0 lets E3 exist with p*capacity - beta = -0.1 <= 0
-        p = ModelParams.unchecked(0.05, -0.3, 0.4, -1.0)
+        # p*capacity < 0 lets E3 = (0.75, 0.03125) exist with
+        # p*capacity - beta = -0.1 <= 0
+        p = ModelParams.unchecked(-0.05, -0.3, -0.4, 1.0)
         rep = _by_label(classify(p, EULER, 0.25))[E3]
         assert rep.equilibrium.exists
         assert rep.step_bound is None
