@@ -1,4 +1,5 @@
 """Command line behavior: subcommands, artifacts, and exit codes."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -311,6 +312,59 @@ class TestFigures:
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("figures", "figure99")
+
+    def test_all_preset_bytes_are_frozen(self, tmp_path, capsys):
+        assert run_cli("figures", "all", "--output", tmp_path) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+        assert got == FIGURES_ALL_SHA256
+
+
+# the default-parameter runs that several presets repeat
+_REFERENCE = "5be3a09d6b6703dea5972bd50f9dec6d94de07d92b1e50748b150fe8f7e946e4"
+_EULER = "3b2ca0cd0ae4f67959979f63108ec79505d0401c46bfc5ccd1343acf9dfe1599"
+_MICKENS = "b0c01fe6b08971e8e1b3bdca06bc71a0e8a47082f347fbc34882e85feb0476fd"
+_SIGMA095 = "8d2cece25f83078445aad84ec2771c0d04e2e9536008a095ff08d6d2adcfd025"
+
+#: sha256 of every file ``predprey figures all`` writes
+FIGURES_ALL_SHA256 = {
+    "figure2.gp": "d89784fe2278c9d4a697ef8a28d34e13952474af663cff9df23a9485ac8522d8",
+    "figure2_d0.2_l0.3.csv": _REFERENCE,
+    "figure2_d0.85_l0.1.csv": "d853d5af302017d7ca8cd24f43603c4f014b32ff39a88397681ecf4ade4a9299",
+    "figure2_d0_l0.5.csv": "a4e11bee44b598caf8d10f2fa73512421c24bcb8a6b5fe5af1ad54eeb8076fec",
+    "figure3.gp": "0ef4a9590d4e1684c3d8fefad8fcc2bdc5ce76169fb94bed1d641d5749569e0a",
+    "figure3_d0.2_l0.3.csv": _EULER,
+    "figure3_d0.85_l0.1.csv": "4ae84e73d905c6c4f25afed215d9480de78da866af8a4067075a1cb45a29da8d",
+    "figure3_d0_l0.5.csv": "3351f72f54f8a39b08b191a3bdd37de28561ea6e480d9542c3ab5da9f124f26a",
+    "figure4.gp": "c37456d1e8ac939310e6212cbe721e363ccb07dc6286a0595e169666cb845d96",
+    "figure4_d0.2_l0.3.csv": _MICKENS,
+    "figure4_d0.85_l0.1.csv": "50e66a4bd6a94008809887b019ae385dba36e61b6d96d98354ff8612c4cd54f9",
+    "figure4_d0_l0.5.csv": "5b31477ceb02595ebd691776516b9873157cb1059bbf29c9ea8903fa6ebe493e",
+    "figure5.gp": "86513311db60d9196bde4e64a0074b306d9a90a912356635e1eaab94cc8827a2",
+    "figure5_d0.2_l0.3.csv": _SIGMA095,
+    "figure5_d0.85_l0.1.csv": "ed458d8a495c8aefb2593ae7fe27d974786a85354a1d6c575d2d8f540bba618a",
+    "figure5_d0_l0.5.csv": "824d39f1fa05f880b6bea5a1e5bfaff4a61b17228dca70ac92ec9663c7dad32a",
+    "figure6.gp": "f26a791ef6b20e92e89656639955a2351cb0cde097f63420d2a8eb2b28a49de2",
+    "figure6_euler.csv": _EULER,
+    "figure6_fractional.csv": _SIGMA095,
+    "figure6_mickens.csv": _MICKENS,
+    "figure6_reference.csv": _REFERENCE,
+    "figure7.gp": "4b8e3e78cb0b74d09714bca5e4afedb74db4f72783b47a9d14f43eed0c47cbdc",
+    "figure7_euler.csv": _EULER,
+    "figure7_mickens.csv": _MICKENS,
+    "figure7_reference.csv": _REFERENCE,
+    "figure8.gp": "a2f6b8b8c235669e9b8d997fdaf1380ff65373f6a8f0508c46372435782aaac2",
+    "figure8_euler.csv": _EULER,
+    "figure8_reference.csv": _REFERENCE,
+    "figure9.gp": "65a80db9222321e71c3d94936095dd2c9cd4d72300ceda41379f4e11d8a77d26",
+    "figure9_reference.csv": _REFERENCE,
+    "figure10.gp": "9aee7625a3340517224fb57ffa9dd6d809740b9a475c6f6d448cf630bc6f3899",
+    "figure10_reference.csv": _REFERENCE,
+    "figure10_sigma0.8.csv": "4eb2f6fe0bf793fe743a61d981f743e097e9944d2f5b33ca8dcd6380659148da",
+    "figure10_sigma0.9.csv": "8b029179d60645583d1f12a35871f876d58c4a7ac62c74035da684b10e4e2c88",
+    "figure10_sigma0.95.csv": _SIGMA095,
+    "figure10_sigma0.99.csv": "43c263d1a3daa8b3660cc65899e4c247e291521366971a4bb57174af139e4578",
+}
 
 
 class TestFlagsAndConfig:
