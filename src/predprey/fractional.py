@@ -163,17 +163,20 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                 # [n, n + size), which gather in rows n + 1 onward
                 size = n & -n
                 rows = min(size, n_steps - n)
-                srcs = fft.rfft(fs_by_member[:, n - size:n].swapaxes(1, 2),
-                                2 * size)
-                # one kernel and one component at a time, which keeps the
-                # temporaries of the largest blocks small; both factors of
-                # each product are (B, size + 1) with unit inner stride
-                for k in range(2):
-                    spec = fft.rfft(kernels[:, k, :2 * size], 2 * size)
-                    for c in range(2):
-                        far = fft.irfft(srcs[:, c] * spec, 2 * size)
-                        pending[k, c, :, n + 1:n + 1 + rows] += \
-                            far[:, size:size + rows]
+                # a diverged member's sources are not finite; the caller
+                # reports its first non-finite state, so numpy need not warn
+                with np.errstate(invalid="ignore", over="ignore"):
+                    srcs = fft.rfft(fs_by_member[:, n - size:n].swapaxes(1, 2),
+                                    2 * size)
+                    # one kernel and one component at a time, which keeps the
+                    # temporaries of the largest blocks small; both factors
+                    # of each product are (B, size + 1) with unit inner stride
+                    for k in range(2):
+                        spec = fft.rfft(kernels[:, k, :2 * size], 2 * size)
+                        for c in range(2):
+                            far = fft.irfft(srcs[:, c] * spec, 2 * size)
+                            pending[k, c, :, n + 1:n + 1 + rows] += \
+                                far[:, size:size + rows]
             at = (n + 1) * width
             for (f, d0, l0, scale_p, scale_c), ((pd, pl), (cd, cl)) in zip(
                     members, (lags[n - b] @ fs_by_member[:, b:n + 1]).tolist()):

@@ -9,8 +9,7 @@ the files unmodified.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -135,18 +134,40 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
 
 
 def trajectory_from_csv(path) -> Trajectory:
-    """Re-read a trajectory CSV (scheme ``csv``); numbers round-trip bit-exact."""
+    """Re-read a trajectory CSV (scheme ``csv``); numbers round-trip bit-exact.
+
+    Blank lines are skipped.  Errors name the file, except that of a cell
+    that is not a number.
+    """
     path = Path(path)
     lines = list(filter(None, path.read_text().split("\n")))
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-    commas = [line.count(",") for line in lines]
-    if commas.count(2) != len(commas):
-        bad = next(i for i, n in enumerate(commas) if n != 2)
-        raise ValueError(f"{path}: row {bad + 1} has {commas[bad] + 1} columns")
-    # the header's three cells lead the one split over all rows
-    table = np.array(",".join(lines).split(",")[3:], dtype=float).reshape(-1, 3)
-    return Trajectory(table[:, 0], table[:, 1:], "csv")
+    table = _c_table(lines[1:])
+    if table is None:
+        # parse again cell by cell, which finds the fault and names it
+        commas = [line.count(",") for line in lines]
+        if commas.count(2) != len(commas):
+            bad = next(i for i, n in enumerate(commas) if n != 2)
+            raise ValueError(f"{path}: row {bad + 1} has {commas[bad] + 1} columns")
+        # the header's three cells lead the one split over all rows
+        table = np.array(",".join(lines).split(",")[3:], dtype=float).reshape(-1, 3)
+    try:
+        return Trajectory(table[:, 0], table[:, 1:], "csv")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _c_table(rows):
+    """The (n >= 1, 3) table numpy's C reader makes of nonempty ``rows``,
+    or None where it makes anything else of them or refuses them."""
+    if not rows:
+        return None     # loadtxt would warn that the input holds no data
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == 3 else None
 
 # }}}
 
@@ -235,6 +256,8 @@ def run_scenario(sc: Scenario, out_dir, traj=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     if traj is None:
         traj = solve_scenario(sc)
+    # a region that cannot be built fails the run before any artifact
+    region = scheme_region(sc) if "verify" in sc.outputs else None
     paths = []
     report = None
     if "timeseries" in sc.outputs or "phase" in sc.outputs:
@@ -244,7 +267,7 @@ def run_scenario(sc: Scenario, out_dir, traj=None):
         p.write_text(stability_text(sc), newline="\n")
         paths.append(p)
     if "verify" in sc.outputs:
-        report = check_trajectory(traj, scheme_region(sc))
+        report = check_trajectory(traj, region)
         p = out_dir / f"{sc.name}_verification.txt"
         p.write_text(_verification_text(sc, report), newline="\n")
         paths.append(p)
@@ -252,25 +275,32 @@ def run_scenario(sc: Scenario, out_dir, traj=None):
 
 
 def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
-    """Run a batch; artifact files never collide by name.
+    """Run a batch in the calling thread; artifact files never collide by name.
 
     Fractional scenarios are first solved together by one
-    :func:`caputo_solve_batch` call.  Then each scenario runs
-    through :func:`run_scenario` in a thread pool, which solves the
-    classical ones and writes every artifact.  A scenario whose solve
-    failed still lets the others write theirs; the first such error in
-    scenario order is raised once all have run.
+    :func:`caputo_solve_batch` call.  Then each scenario runs through
+    :func:`run_scenario` in order, which solves the classical ones and
+    writes every artifact.  A scenario whose run failed still lets the
+    others write theirs; the first such error in scenario order is raised
+    once all have run.  ``workers`` has no effect and is deprecated:
+    passing a value other than None warns.
     """
+    if workers is not None:
+        warnings.warn("run_scenarios ignores workers: a batch runs in the "
+                      "calling thread", DeprecationWarning, stacklevel=2)
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique within a batch")
     solved = _solve_fractional(scenarios)
-    if workers is None:
-        workers = min(len(scenarios), os.cpu_count() or 1) or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_scenario, sc, out_dir, solved.get(sc.name))
-                   for sc in scenarios]
-    results = [future.result() for future in futures]
+    results, error = [], None
+    for sc in scenarios:
+        try:
+            results.append(run_scenario(sc, out_dir, solved.get(sc.name)))
+        except Exception as exc:    # the others still run; raised below
+            if error is None:
+                error = exc
+    if error is not None:
+        raise error
     paths = [p for ps, _ in results for p in ps]
     reports = [r for _, r in results if r is not None]
     return paths, reports

@@ -1,5 +1,8 @@
 """Public surface: exported names resolve, and modules keep to it."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import predprey
@@ -23,3 +26,15 @@ def test_no_module_imports_a_private_sibling_name():
             found += [f"{path.name}: {alias.name} from {'.' * node.level}{module}"
                       for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_import_starts_no_thread_pool_machinery():
+    # a fresh interpreter, so modules the tests imported do not count
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + ([inherited] if inherited else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, predprey; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -222,6 +222,17 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {zero}: ")
 
+    @pytest.mark.parametrize("flags", [
+        ("--scheme", "euler", "--p", 0),
+        ("--scheme", "mickens", "--alpha", 0),
+        ("--scheme", "reference", "--beta", 0),
+        ("--scheme", "fractional", "--beta", 0),
+    ])
+    def test_region_error_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run_cli("verify", *flags, "--output", out) == 2
+        assert list(out.iterdir()) == []
+
     def test_config_outputs_kept(self, tmp_path, capsys):
         cfg = tmp_path / "runs.cfg"
         cfg.write_text("[a]\nt_end = 5\noutputs = stability\n")
@@ -260,6 +271,16 @@ class TestCompare:
         a = self.make_csv(tmp_path, "a")
         assert run_cli("compare", a, tmp_path / "absent.csv") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,message", [
+        ("", "times must be a nonempty 1-d array"),
+        ("0,0.2,0.3\n0,0.2,0.3\n", "times must be strictly increasing"),
+    ])
+    def test_table_errors_name_the_file(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "h.csv"
+        bad.write_text("t,D,L\n" + body)
+        assert run_cli("compare", bad, bad) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_malformed_csv_exits_two(self, tmp_path, capsys):
         a = self.make_csv(tmp_path, "a")

@@ -5,6 +5,7 @@ defining power differences, and Mittag-Leffler values from 40-digit
 series evaluation (see ``tests/oracles.py``).
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,20 @@ class TestBatch:
         assert caputo_solve_batch([]) == []
 
 
+PINNED_DIVERGENCES = [
+    # default parameters already blow up at sigma = 1, h = 0.25
+    (1.0, 0.25, 300.0, DEFAULT_PARAMS, State(0.2, 0.3), 636),
+    # the benchmark corpus's failing draw
+    (0.9995984281287198, 0.25, 100.0,
+     ModelParams(0.056855987345937775, 0.46495492358440327,
+                 0.693078530037033, 1.0),
+     State(0.21802292303380175, 0.27565498163756413), 388),
+    # zero capacity leaves the field undefined from the start
+    (0.95, 0.25, 1.0, ModelParams.unchecked(0.05, 0.3, 0.4, 0.0),
+     State(0.2, 0.3), 1),
+]
+
+
 class TestSystemSolver:
     def test_integer_order_matches_reference(self, params, s0):
         frac = caputo_solve(params,
@@ -390,18 +405,8 @@ class TestSystemSolver:
             caputo_solve(p, FractionalConfig(sigma=0.95, h=0.5, t_end=500.0),
                          State(2.0, 0.1))
 
-    @pytest.mark.parametrize("sigma, h, t_end, params, initial, step", [
-        # default parameters already blow up at sigma = 1, h = 0.25
-        (1.0, 0.25, 300.0, DEFAULT_PARAMS, State(0.2, 0.3), 636),
-        # the benchmark corpus's failing draw
-        (0.9995984281287198, 0.25, 100.0,
-         ModelParams(0.056855987345937775, 0.46495492358440327,
-                     0.693078530037033, 1.0),
-         State(0.21802292303380175, 0.27565498163756413), 388),
-        # zero capacity leaves the field undefined from the start
-        (0.95, 0.25, 1.0, ModelParams.unchecked(0.05, 0.3, 0.4, 0.0),
-         State(0.2, 0.3), 1),
-    ])
+    @pytest.mark.parametrize("sigma, h, t_end, params, initial, step",
+                             PINNED_DIVERGENCES)
     def test_divergence_step_is_pinned(self, sigma, h, t_end, params,
                                        initial, step):
         cfg = FractionalConfig(sigma=sigma, h=h, t_end=t_end)
@@ -409,6 +414,17 @@ class TestSystemSolver:
             caputo_solve(params, cfg, initial)
         assert exc.value.step == step
         assert exc.value.time == step * h
+
+    @pytest.mark.parametrize("sigma, h, t_end, params, initial, step",
+                             PINNED_DIVERGENCES)
+    def test_divergence_raises_no_numpy_warning(self, sigma, h, t_end, params,
+                                                initial, step):
+        cfg = FractionalConfig(sigma=sigma, h=h, t_end=t_end)
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                caputo_solve(params, cfg, initial)
+        assert exc.value.step == step
 
     def test_order_approaches_integer_limit(self, params, s0):
         # distance to the reference run shrinks as sigma tends to 1
