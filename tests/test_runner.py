@@ -174,23 +174,6 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="nonempty"):
             trajectory_from_csv(empty)
 
-    @pytest.mark.parametrize("text", ["t,D,L", "t,D,L\n", "\nt,D,L\n\n\n"])
-    def test_header_only_error_names_the_file(self, tmp_path, text):
-        empty = tmp_path / "empty.csv"
-        empty.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as exc:
-                trajectory_from_csv(empty)
-        assert str(exc.value) == f"{empty}: times must be a nonempty 1-d array"
-
-    def test_duplicate_times_error_names_the_file(self, tmp_path):
-        path = tmp_path / "dup.csv"
-        path.write_text("t,D,L\n0,0.2,0.3\n0.25,0.2,0.3\n0.25,0.2,0.3\n")
-        with pytest.raises(ValueError) as exc:
-            trajectory_from_csv(path)
-        assert str(exc.value) == f"{path}: times must be strictly increasing"
-
     def test_well_formed_rows_take_the_c_reader(self):
         assert _c_table(["0,0.5,-0", " 1e-320 ,inf,2"]).tobytes() == np.array(
             [[0.0, 0.5, -0.0], [1e-320, math.inf, 2.0]]).tobytes()
@@ -227,9 +210,16 @@ def _any_trajectory(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(traj=_any_trajectory())
+@example(traj=Trajectory(
+    np.array([-1e308, -5e-324, -0.0, 5e-324, 1e308]),
+    np.array([[0.0, -0.0], [5e-324, -5e-324], [2.2250738585072009e-308, 1e308],
+              [-1e308, 1.7976931348623157e308], [1 / 3, -1e-320]]), "csv"))
 def test_csv_round_trip_is_bit_exact_for_any_doubles(traj):
     with tempfile.TemporaryDirectory() as tmp:
-        back = trajectory_from_csv(trajectory_to_csv(traj, Path(tmp) / "x.csv"))
+        path = trajectory_to_csv(traj, Path(tmp) / "x.csv")
+        back = trajectory_from_csv(path)
+        # a file the writer made is read by numpy's C reader
+        assert _c_table(path.read_text().split("\n")[1:-1]) is not None
     assert back.times.tobytes() == traj.times.tobytes()
     assert back.states.tobytes() == traj.states.tobytes()
 
@@ -252,26 +242,6 @@ def test_csv_bytes_equal_the_per_row_writer(traj):
     with tempfile.TemporaryDirectory() as tmp:
         raw = trajectory_to_csv(traj, Path(tmp) / "x.csv").read_bytes()
     assert raw == _per_row_csv(traj)
-
-
-_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
-             -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
-             1 / 3]
-
-
-@settings(max_examples=100, deadline=None)
-@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                       | st.sampled_from(_EXTREMES), min_size=2, max_size=40))
-@example(values=_EXTREMES)
-def test_finite_doubles_round_trip_through_the_c_reader(values):
-    states = np.array(values[:len(values) // 2 * 2]).reshape(-1, 2)
-    traj = Trajectory(np.arange(len(states), dtype=float), states, "csv")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = trajectory_to_csv(traj, Path(tmp) / "x.csv")
-        rows = path.read_text().split("\n")[1:-1]
-        back = trajectory_from_csv(path)
-    assert _c_table(rows)[:, 1:].tobytes() == states.tobytes()
-    assert back.states.tobytes() == states.tobytes()
 
 
 def _cell_parse(path) -> Trajectory:
@@ -341,8 +311,9 @@ def _odd_csv_text(draw):
 
 
 @pytest.mark.parametrize("text", [
-    "t,D,L\n",                                   # header only
+    "t,D,L\n",                 # header only: numpy would warn of no data
     "t,D,L",
+    "\nt,D,L\n\n\n",
     "\n\nt,D,L\n0,0.2,0.3\n",                    # leading blank lines
     "t,D,L\n0,0.2,0.3\n   \n1,0.2,0.3\n",        # whitespace-only lines
     "t,D,L\n\t\n",
