@@ -9,7 +9,6 @@ the files unmodified.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -136,38 +135,23 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
 def trajectory_from_csv(path) -> Trajectory:
     """Re-read a trajectory CSV (scheme ``csv``); numbers round-trip bit-exact.
 
-    Blank lines are skipped.  Errors name the file, except that of a cell
-    that is not a number.
+    Blank lines are skipped.  Every error names the file.
     """
     path = Path(path)
     lines = list(filter(None, path.read_text().split("\n")))
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-    table = _c_table(lines[1:])
-    if table is None:
-        # parse again cell by cell, which finds the fault and names it
-        commas = [line.count(",") for line in lines]
-        if commas.count(2) != len(commas):
-            bad = next(i for i, n in enumerate(commas) if n != 2)
-            raise ValueError(f"{path}: row {bad + 1} has {commas[bad] + 1} columns")
-        # the header's three cells lead the one split over all rows
-        table = np.array(",".join(lines).split(",")[3:], dtype=float).reshape(-1, 3)
+    commas = [line.count(",") for line in lines]
+    if commas.count(2) != len(commas):
+        bad = next(i for i, n in enumerate(commas) if n != 2)
+        raise ValueError(f"{path}: row {bad + 1} has {commas[bad] + 1} columns")
     try:
+        # the header's three cells lead the one split over all rows
+        table = np.array(",".join(lines).split(",")[3:], dtype=float)
+        table = table.reshape(-1, 3)
         return Trajectory(table[:, 0], table[:, 1:], "csv")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _c_table(rows):
-    """The (n >= 1, 3) table numpy's C reader makes of nonempty ``rows``,
-    or None where it makes anything else of them or refuses them."""
-    if not rows:
-        return None     # loadtxt would warn that the input holds no data
-    try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return table if table.shape[1] == 3 else None
 
 # }}}
 
@@ -282,12 +266,8 @@ def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
     :func:`run_scenario` in order, which solves the classical ones and
     writes every artifact.  A scenario whose run failed still lets the
     others write theirs; the first such error in scenario order is raised
-    once all have run.  ``workers`` has no effect and is deprecated:
-    passing a value other than None warns.
+    once all have run.  ``workers`` has no effect.
     """
-    if workers is not None:
-        warnings.warn("run_scenarios ignores workers: a batch runs in the "
-                      "calling thread", DeprecationWarning, stacklevel=2)
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique within a batch")

@@ -275,6 +275,7 @@ class TestCompare:
     @pytest.mark.parametrize("body,message", [
         ("", "times must be a nonempty 1-d array"),
         ("0,0.2,0.3\n0,0.2,0.3\n", "times must be strictly increasing"),
+        ("0,abc,0.3\n", "could not convert string to float: 'abc'"),
     ])
     def test_table_errors_name_the_file(self, tmp_path, capsys, body, message):
         bad = tmp_path / "h.csv"

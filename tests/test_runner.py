@@ -2,7 +2,6 @@
 import hashlib
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,7 @@ from predprey import (
 )
 from predprey.regions import (continuous_region, euler_region,
                               fractional_region, mickens_region)
-from predprey.runner import (PRESETS, CSV_HEADER, STANDARD_INITIALS,
-                             _c_table)
+from predprey.runner import PRESETS, CSV_HEADER, STANDARD_INITIALS
 
 from conftest import DEFECT_INITIAL, DEFECT_PARAMS, DEFECT_SIGMA
 
@@ -174,12 +172,6 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="nonempty"):
             trajectory_from_csv(empty)
 
-    def test_well_formed_rows_take_the_c_reader(self):
-        assert _c_table(["0,0.5,-0", " 1e-320 ,inf,2"]).tobytes() == np.array(
-            [[0.0, 0.5, -0.0], [1e-320, math.inf, 2.0]]).tobytes()
-        for rows in ([], ["0,1,2,"], ["0,1"], ["0,1,2", " "], ["1_0,1,2"]):
-            assert _c_table(rows) is None
-
     def test_blank_lines_between_rows_are_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_text("t,D,L\n\n0,0.2,0.3\n\n\n0.25,0.5,-0\n\n")
@@ -216,10 +208,7 @@ def _any_trajectory(draw):
               [-1e308, 1.7976931348623157e308], [1 / 3, -1e-320]]), "csv"))
 def test_csv_round_trip_is_bit_exact_for_any_doubles(traj):
     with tempfile.TemporaryDirectory() as tmp:
-        path = trajectory_to_csv(traj, Path(tmp) / "x.csv")
-        back = trajectory_from_csv(path)
-        # a file the writer made is read by numpy's C reader
-        assert _c_table(path.read_text().split("\n")[1:-1]) is not None
+        back = trajectory_from_csv(trajectory_to_csv(traj, Path(tmp) / "x.csv"))
     assert back.times.tobytes() == traj.times.tobytes()
     assert back.states.tobytes() == traj.states.tobytes()
 
@@ -242,102 +231,6 @@ def test_csv_bytes_equal_the_per_row_writer(traj):
     with tempfile.TemporaryDirectory() as tmp:
         raw = trajectory_to_csv(traj, Path(tmp) / "x.csv").read_bytes()
     assert raw == _per_row_csv(traj)
-
-
-def _cell_parse(path) -> Trajectory:
-    """The reader as it was before numpy's C reader: count each row's
-    commas, then convert every cell by one numpy cast."""
-    lines = list(filter(None, path.read_text().split("\n")))
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-    commas = [line.count(",") for line in lines]
-    if commas.count(2) != len(commas):
-        bad = next(i for i, n in enumerate(commas) if n != 2)
-        raise ValueError(f"{path}: row {bad + 1} has {commas[bad] + 1} columns")
-    table = np.array(",".join(lines).split(",")[3:], dtype=float).reshape(-1, 3)
-    try:
-        return Trajectory(table[:, 0], table[:, 1:], "csv")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _outcome(read, path):
-    """What ``read`` makes of a file: the table's bytes, or the error or
-    warning it raises."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            traj = read(path)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return traj.times.tobytes(), traj.states.tobytes()
-
-
-def _assert_reads_like_the_cell_parse(text: str):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "odd.csv"
-        path.write_bytes(text.encode())
-        assert _outcome(trajectory_from_csv, path) == _outcome(_cell_parse, path)
-
-
-_ODD_CELLS = ["", " ", "\t3", " 2 ", "1_0", "nan", "-nan", "NaN", "inf",
-              "-Infinity", "Infinity", "1e400", "-0", ".5", "1.", "0x10", "#",
-              "t", "1 2", "1d5", "\u0661", "\x00"]
-_ODD_LINES = ["", " ", "\t", "#", "# note", "t,D,L", "0,1,2,", "0,,2", ",,",
-              "1,2", "1,2,3,4"]
-
-
-@st.composite
-def _odd_csv_text(draw):
-    """CSV text of mostly numeric rows with a few odd cells or lines, an
-    odd header now and then, and LF, CRLF or CR line endings."""
-    number = st.floats(allow_nan=False).map("{:.17g}".format) | st.floats().map(repr)
-    lines = [",".join(draw(st.lists(number, min_size=3, max_size=3)))
-             for _ in range(draw(st.integers(0, 5)))]
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(lines)))
-        if at < len(lines) and draw(st.booleans()):
-            cells = lines[at].split(",")
-            cells[draw(st.integers(0, len(cells) - 1))] = draw(
-                st.sampled_from(_ODD_CELLS))
-            lines[at] = ",".join(cells)
-        else:
-            lines.insert(at, draw(st.sampled_from(_ODD_LINES)))
-    header = draw(st.sampled_from([CSV_HEADER] * 6 + ["\nt,D,L", " t,D,L",
-                                                      "t,D,L,", "time,D,L"]))
-    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
-    return (newline.join([header.replace("\n", newline), *lines])
-            + draw(st.sampled_from([newline, ""])))
-
-
-@pytest.mark.parametrize("text", [
-    "t,D,L\n",                 # header only: numpy would warn of no data
-    "t,D,L",
-    "\nt,D,L\n\n\n",
-    "\n\nt,D,L\n0,0.2,0.3\n",                    # leading blank lines
-    "t,D,L\n0,0.2,0.3\n   \n1,0.2,0.3\n",        # whitespace-only lines
-    "t,D,L\n\t\n",
-    "t,D,L\n0,0.2,0.3,\n",                       # trailing comma
-    "t,D,L\n# note\n0,0.2,0.3\n",                # a # line
-    "t,D,L\n0,0.2,0.3 # note\n",
-    "t,D,L\n0,,0.3\n",                           # empty cell
-    "t,D,L\n1_0,0.2,0.3\n",                      # underscore in a number
-    "t,D,L\n0,nan,inf\n1,-Infinity,-nan\n2,NaN,Infinity\n",
-    "t,D,L\r\n0,0.2,0.3\r\n1,0.5,0.25\r\n",       # CRLF line endings
-    "t,D,L\r0,0.2,0.3\r",
-    "t,D,L\n0,0.2,0.3\n0,0.2,0.3\n",              # duplicate times
-    "t,D,L\n 0 , 0.2 ,\t0.3 \n",
-    "t,D,L\n\u0661,0.2,0.3\n",
-    "t,D,L\ninf,0,0\ninf,0,0\n",                 # numpy warns on inf - inf
-])
-def test_reader_matches_the_cell_parse_on_odd_text(text):
-    _assert_reads_like_the_cell_parse(text)
-
-
-@settings(max_examples=200, deadline=None)
-@given(text=_odd_csv_text())
-def test_reader_matches_the_cell_parse_on_any_text(text):
-    _assert_reads_like_the_cell_parse(text)
 
 
 class TestCompare:
@@ -440,17 +333,6 @@ class TestRunScenario:
         for sc in scs[1:]:
             written = trajectory_from_csv(tmp_path / f"{sc.name}.csv")
             assert np.array_equal(written.states, solve_scenario(sc).states)
-
-    def test_workers_is_ignored_with_a_deprecation_warning(self, tmp_path):
-        scs = [short_scenario(name="a"), short_scenario(name="b",
-                                                        scheme=MICKENS)]
-        with pytest.warns(DeprecationWarning, match="ignores workers"):
-            paths, _ = run_scenarios(scs, tmp_path / "pool", workers=2)
-        assert [p.name for p in paths] == ["a.csv", "b.csv"]
-        assert [p.name for p in run_scenarios(scs, tmp_path / "one")[0]] == [
-            "a.csv", "b.csv"]
-        for p in paths:
-            assert p.read_bytes() == (tmp_path / "one" / p.name).read_bytes()
 
     def test_batch_collects_everything(self, tmp_path):
         scs = [short_scenario(name="a", outputs=("timeseries", "verify")),
