@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .model import FRACTIONAL, SCHEMES
 from .runner import (PRESETS, ConfigError, Scenario, compare, load_scenarios,
-                     preset_scenarios, run_batch, run_scenario, stability_text,
+                     run_batch, run_presets, run_scenario, stability_text,
                      trajectory_from_csv)
 from .schemes import DivergenceError
 
@@ -134,11 +134,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_figures(args) -> int:
     presets = PRESETS if args.preset == "all" else (args.preset,)
-    for preset in presets:
-        paths, _ = run_batch(preset_scenarios(preset), args.output, preset,
-                             title=preset)
-        for p in paths:
-            print(p)
+    for p in run_presets(presets, args.output):
+        print(p)
     return 0
 
 

@@ -177,7 +177,8 @@ class Trajectory:
         if states.shape != (times.size, 2):
             raise ValueError(
                 f"states must have shape ({times.size}, 2), got {states.shape}")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
+        # compared, not subtracted: inf - inf would warn before the error
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
 
     def __len__(self):

@@ -9,6 +9,7 @@ the files unmodified.
 from __future__ import annotations
 
 import math
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -366,6 +367,37 @@ def preset_scenarios(preset: str):
         raise ValueError(f"unknown preset {preset!r}; expected figure2 .. figure10")
     return [Scenario(name=f"{preset}_{suffix}", **fields)
             for suffix, fields in _PRESET_RUNS[preset]]
+
+
+def run_presets(presets, out_dir):
+    """Write each named preset's CSVs and gnuplot script, solving each run once.
+
+    Presets repeat runs: figures 6-10 reuse the default-start runs of
+    figures 2-5.  Scenarios that agree in every field but their name are
+    one run.  The first scenario of each run is solved and written by a
+    single :func:`run_scenarios` batch, and every repeat's CSV is a byte
+    copy of that first CSV.  Nothing is kept between calls.  Returns the
+    paths preset by preset: its CSVs in scenario order, then its script.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)     # fail before any solve
+    bundles = {preset: preset_scenarios(preset) for preset in presets}
+    first, source = {}, {}
+    for scenarios in bundles.values():
+        for sc in scenarios:
+            run = tuple(v for k, v in vars(sc).items() if k != "name")
+            source[sc.name] = first.setdefault(run, sc).name
+    run_scenarios(list(first.values()), out_dir)
+    paths = []
+    for preset, scenarios in bundles.items():
+        csvs = [out_dir / f"{sc.name}.csv" for sc in scenarios]
+        for sc, csv in zip(scenarios, csvs):
+            if source[sc.name] != sc.name:
+                shutil.copyfile(out_dir / f"{source[sc.name]}.csv", csv)
+        paths += csvs
+        paths.append(write_gnuplot_script(csvs, out_dir / f"{preset}.gp",
+                                          title=preset, phase=True))
+    return paths
 
 # }}}
 

@@ -190,7 +190,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     degeneracies come back as ``non-hyperbolic`` or ``out-of-criterion``
     classifications rather than exceptions; so do points whose Jacobian
     is undefined (capacity 0, where D/capacity has no value), overflows or
-    divides by zero (extreme unvalidated parameters).
+    divides by zero (extreme unvalidated parameters).  A point that does
+    not exist gives the reason from :func:`equilibria` in every case.
     """
     if scheme not in (REFERENCE, EULER, MICKENS, FRACTIONAL):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -223,6 +224,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
             except ZeroDivisionError:
                 reason = f"the {scheme} Jacobian divides by zero at this point"
         if reason is not None:
+            if not eq.exists:   # non-existence outranks a Jacobian failure
+                reason = eq.reason
             reports.append(StabilityReport(
                 equilibrium=eq, scheme=scheme, jacobian=None, eigenvalues=None,
                 classification=OUT_OF_CRITERION,

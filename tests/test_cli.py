@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import predprey
-from predprey import (EULER, Scenario, State, load_scenarios, solve_scenario,
+from predprey import (EULER, PRESETS, Scenario, State, load_scenarios,
+                      preset_scenarios, runner, solve_scenario,
                       trajectory_to_csv)
 from predprey.cli import _scenarios_for, build_parser, main
 
@@ -154,16 +155,21 @@ class TestStability:
         assert [row[:2] for row in rows] == ["E1", "E2", "E3"]
         assert all("out-of-criterion [reason=capacity = 0" in row for row in rows)
 
-    @pytest.mark.parametrize("flags,reason", [
-        (("--p", 1e-200, "--capacity", 1e-200), "p*capacity underflows to 0"),
+    @pytest.mark.parametrize("flags,reason,labels", [
+        (("--p", 1e-200, "--capacity", 1e-200), "p*capacity underflows to 0",
+         ("E3",)),
         (("--scheme", "mickens", "--beta", -1000, "--h", 1),
-         "the mickens Jacobian overflows"),
+         "the mickens Jacobian overflows", ("E1", "E2")),
+        # E3 = (-2500, 312.625) does not exist, whatever its Jacobian does
+        (("--scheme", "mickens", "--beta", -1000, "--h", 1),
+         "negative coordinate: outside D, L >= 0", ("E3",)),
     ])
     def test_extreme_parameters_are_out_of_criterion(self, capsys, flags,
-                                                     reason):
+                                                     reason, labels):
         assert run_cli("stability", *flags) == 0
-        e3 = capsys.readouterr().out.splitlines()[3]
-        assert e3.startswith("E3 ") and f"out-of-criterion [reason={reason}" in e3
+        rows = {row[:2]: row for row in capsys.readouterr().out.splitlines()[1:]}
+        for label in labels:
+            assert f"out-of-criterion [reason={reason}" in rows[label]
 
     def test_negative_points_are_out_of_criterion(self, capsys):
         assert run_cli("stability", "--scheme", "euler", "--beta", -0.3,
@@ -180,7 +186,7 @@ class TestStability:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows[0].startswith("E1 (0, 0): out-of-criterion")
         assert rows[1].startswith("E2 (1, 0): out-of-criterion")
-        assert all("the mickens Jacobian overflows" in row for row in rows)
+        assert all("the mickens Jacobian overflows" in row for row in rows[:2])
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"
@@ -272,9 +278,12 @@ class TestCompare:
         assert run_cli("compare", a, tmp_path / "absent.csv") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body,message", [
         ("", "times must be a nonempty 1-d array"),
         ("0,0.2,0.3\n0,0.2,0.3\n", "times must be strictly increasing"),
+        # inf - inf would be a numpy RuntimeWarning ahead of the error
+        ("inf,0,0\ninf,0,0\n", "times must be strictly increasing"),
         ("0,abc,0.3\n", "could not convert string to float: 'abc'"),
     ])
     def test_table_errors_name_the_file(self, tmp_path, capsys, body, message):
@@ -340,6 +349,62 @@ class TestFigures:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
         assert got == FIGURES_ALL_SHA256
+
+    def test_paths_listed_per_preset_in_scenario_order(self, tmp_path, capsys):
+        assert run_cli("figures", "all", "--output", tmp_path) == 0
+        expected = [str(tmp_path / name) for preset in PRESETS
+                    for name in (*(f"{sc.name}.csv"
+                                   for sc in preset_scenarios(preset)),
+                                 f"{preset}.gp")]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize("preset,solves,members,writes", [
+        # figures 6-10 repeat 12 default-start runs of figures 2-5
+        ("all", 9, [6], 15),
+        ("figure6", 3, [1], 4),
+    ])
+    def test_each_distinct_run_is_solved_and_written_once(
+            self, tmp_path, capsys, monkeypatch, preset, solves, members,
+            writes):
+        calls = {"iterate": 0, "trajectory_to_csv": 0}
+        batches = []
+
+        def counted(name):
+            real = getattr(runner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def batch(runs, real=runner.caputo_solve_batch):
+            runs = list(runs)
+            batches.append(len(runs))
+            return real(runs)
+
+        for name in calls:
+            monkeypatch.setattr(runner, name, counted(name))
+        monkeypatch.setattr(runner, "caputo_solve_batch", batch)
+        assert run_cli("figures", preset, "--output", tmp_path) == 0
+        assert calls == {"iterate": solves, "trajectory_to_csv": writes}
+        assert batches == members
+        # every repeat is a file of its own, not a link
+        assert all(not p.is_symlink() and p.stat().st_nlink == 1
+                   for p in tmp_path.iterdir())
+
+    def test_output_that_is_a_file_exits_two(self, tmp_path, capsys,
+                                              monkeypatch):
+        target = tmp_path / "taken"
+        target.write_text("")
+        solved = []
+        monkeypatch.setattr(runner, "caputo_solve_batch", solved.append)
+        assert run_cli("figures", "all", "--output", target) == 2
+        assert solved == []     # the directory fails before any solve
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 # the default-parameter runs that several presets repeat

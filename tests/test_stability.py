@@ -277,8 +277,9 @@ class TestClassifyEdgeCases:
         assert "underflows" in rep.criterion_details["reason"]
 
     @pytest.mark.parametrize("params,h,labels", [
-        # beta*h = -1000: exp(-beta*h) in mickens_phi overflows
-        (ModelParams.unchecked(0.05, -1000.0, 0.4, 1.0), 1.0, (E1, E2, E3)),
+        # beta*h = -1000: exp(-beta*h) in mickens_phi overflows; E3 is
+        # (-2500, 312.625), which gives its non-existence reason instead
+        (ModelParams.unchecked(0.05, -1000.0, 0.4, 1.0), 1.0, (E1, E2)),
         # the Jacobian's denominator squared overflows at E2
         (ModelParams.unchecked(1e200, 0.3, 0.4, 1e-200), 0.25, (E2,)),
     ])
