@@ -262,16 +262,18 @@ def run_scenario(sc: Scenario, out_dir, traj=None):
 def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
     """Run a batch in the calling thread; artifact files never collide by name.
 
-    Fractional scenarios are first solved together by one
-    :func:`caputo_solve_batch` call.  Then each scenario runs through
-    :func:`run_scenario` in order, which solves the classical ones and
-    writes every artifact.  A scenario whose run failed still lets the
-    others write theirs; the first such error in scenario order is raised
-    once all have run.  ``workers`` has no effect.
+    The output directory is made first, so a directory that cannot be
+    made fails the batch before any solve.  Fractional scenarios are then
+    solved together by one :func:`caputo_solve_batch` call, and each
+    scenario runs through :func:`run_scenario` in order, which solves the
+    classical ones and writes every artifact.  A scenario whose run failed
+    still lets the others write theirs; the first such error in scenario
+    order is raised once all have run.  ``workers`` has no effect.
     """
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique within a batch")
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     solved = _solve_fractional(scenarios)
     results, error = [], None
     for sc in scenarios:

@@ -62,22 +62,34 @@ def mickens_phi(params: ModelParams, h: float) -> float:
 
 
 def _stepper(scheme: str, params: ModelParams, h: float):
-    """The update formula of a classical scheme, as step(d, l) -> (d, l).
+    """The whole loop of a classical scheme, as run(flat, start, stop).
 
-    The parameters, h and the step constants are bound once as floats.
-    Products are grouped exactly as the written-out maps group them
-    (alpha*h*x is (alpha*h)*x), so hoisting them changes no bit.  Step
-    constants that overflow (Mickens' phi once beta*h is below about -709)
-    give no finite first state: DivergenceError at step 1.
+    ``flat`` holds state k at ``flat[2k]`` and ``flat[2k + 1]``; run reads
+    the state just before ``start`` and writes each next state at
+    ``range(start, stop, 2)``.  The parameters, h and the step constants
+    are bound once as floats, and each scheme's update is written once,
+    inline in its loop.  Products are grouped exactly as the written-out
+    maps group them (alpha*h*x is (alpha*h)*x), so hoisting them changes
+    no bit.  A step that divides by zero (capacity 0) raises
+    DivergenceError at that step, and step constants that overflow
+    (Mickens' phi once beta*h is below about -709) give no finite first
+    state: DivergenceError at step 1.
     """
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
                                 params.capacity)
     if scheme == EULER:
         ah, ph, bh = alpha * h, p * h, beta * h
 
-        def step(d, l):
-            return (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
-                    l * (ph * d - bh + 1.0))
+        def run(flat, start, stop):
+            d, l = flat[start - 2], flat[start - 1]
+            try:
+                for i in range(start, stop, 2):
+                    d, l = (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
+                            l * (ph * d - bh + 1.0))
+                    flat[i] = d
+                    flat[i + 1] = l
+            except ZeroDivisionError as exc:
+                raise DivergenceError.at_step(i // 2, h) from exc
     elif scheme == MICKENS:
         try:
             phi = mickens_phi(params, h)
@@ -86,26 +98,47 @@ def _stepper(scheme: str, params: ModelParams, h: float):
         xi, aphi, pphi = 1.0 + alpha * phi, alpha * phi, p * phi
         decay = 1.0 + beta * phi
 
-        def step(d, l):
-            d = xi * d / (1.0 + pphi * l + aphi * d / capacity)
-            return d, (pphi * d + 1.0) * l / decay
+        def run(flat, start, stop):
+            d, l = flat[start - 2], flat[start - 1]
+            try:
+                for i in range(start, stop, 2):
+                    d = xi * d / (1.0 + pphi * l + aphi * d / capacity)
+                    l = (pphi * d + 1.0) * l / decay
+                    flat[i] = d
+                    flat[i + 1] = l
+            except ZeroDivisionError as exc:
+                raise DivergenceError.at_step(i // 2, h) from exc
     else:
         f = rate_field(params)
         hh = 0.5 * h
 
-        def step(d, l):
-            k1d, k1l = f(d, l)
-            k2d, k2l = f(d + hh * k1d, l + hh * k1l)
-            k3d, k3l = f(d + hh * k2d, l + hh * k2l)
-            k4d, k4l = f(d + h * k3d, l + h * k3l)
-            return (d + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0,
-                    l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
-    return step
+        def run(flat, start, stop):
+            d, l = flat[start - 2], flat[start - 1]
+            try:
+                for i in range(start, stop, 2):
+                    k1d, k1l = f(d, l)
+                    k2d, k2l = f(d + hh * k1d, l + hh * k1l)
+                    k3d, k3l = f(d + hh * k2d, l + hh * k2l)
+                    k4d, k4l = f(d + h * k3d, l + h * k3l)
+                    d, l = (d + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0,
+                            l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
+                    flat[i] = d
+                    flat[i + 1] = l
+            except ZeroDivisionError as exc:
+                raise DivergenceError.at_step(i // 2, h) from exc
+    return run
+
+
+def _one_step(scheme: str, params: ModelParams, h: float, s: State) -> State:
+    """Step 1 of ``scheme`` from ``s``, by the loop :func:`iterate` runs."""
+    flat = [s.d, s.l, 0.0, 0.0]
+    _stepper(scheme, params, h)(flat, 2, 4)
+    return State(flat[2], flat[3])
 
 
 def euler_step(params: ModelParams, h: float, s: State) -> State:
     """One explicit Euler update of (d, l)."""
-    return State(*_stepper(EULER, params, h)(s.d, s.l))
+    return _one_step(EULER, params, h, s)
 
 
 def mickens_step(params: ModelParams, h: float, s: State) -> State:
@@ -114,16 +147,16 @@ def mickens_step(params: ModelParams, h: float, s: State) -> State:
     The predator update uses the already-advanced prey value, which is
     what makes the map unconditionally positive for non-negative states.
     """
-    return State(*_stepper(MICKENS, params, h)(s.d, s.l))
+    return _one_step(MICKENS, params, h, s)
 
 
 def rk4_step(params: ModelParams, h: float, s: State) -> State:
     """One classical fourth-order Runge-Kutta update."""
-    return State(*_stepper(REFERENCE, params, h)(s.d, s.l))
+    return _one_step(REFERENCE, params, h, s)
 
 
 def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
-    """Drive the configured stepper across the grid, recording every state.
+    """Run the configured scheme's loop over the grid, recording each state.
 
     The number of steps is ceil(t_end/h); the returned trajectory has one
     more point than that.  Euler runs under validated parameters warn when
@@ -141,20 +174,14 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
                 f"1 - beta*h = {slack:g} <= 0: Euler updates can drive the "
                 "predator population negative", StepSizeWarning, stacklevel=2)
 
-    step = _stepper(cfg.scheme, params, cfg.h)
+    run = _stepper(cfg.scheme, params, cfg.h)
     n = cfg.n_steps()
     times = np.arange(n + 1, dtype=float) * cfg.h
     states = np.empty((n + 1, 2))
-    d, l = states[0] = s0.d, s0.l
+    states[0] = s0.d, s0.l
     # a flat memoryview takes float items much faster than numpy rows
     with memoryview(states.reshape(-1)) as flat:
-        try:
-            for i in range(2, 2 * n + 2, 2):
-                d, l = step(d, l)
-                flat[i] = d
-                flat[i + 1] = l
-        except ZeroDivisionError as exc:
-            raise DivergenceError.at_step(i // 2, cfg.h) from exc
+        run(flat, 2, 2 * n + 2)
     if cfg.scheme == REFERENCE:
         finite = np.isfinite(states).all(axis=1)
         if not finite.all():

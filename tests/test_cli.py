@@ -79,6 +79,24 @@ class TestSimulate:
         assert printed == [str(tmp_path / "a_stability.txt")]
         assert not (tmp_path / "a.gp").exists()
 
+    def test_output_that_is_a_file_fails_before_any_solve(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        cfg = tmp_path / "fr.cfg"
+        cfg.write_text("".join(f"[f{i}]\nscheme = fractional\nt_end = 5\n"
+                               for i in range(3)))
+        target = tmp_path / "taken"
+        target.write_text("")
+        solved = []
+        monkeypatch.setattr(runner, "caputo_solve_batch", solved.append)
+        code = run_cli("simulate", "--config", cfg, "--output", target)
+        assert code == 2
+        assert solved == []
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[a]\nstep = 1\n")

@@ -4,6 +4,7 @@ Flow reference values are frozen from a 40-digit adaptive Taylor
 integration of the vector field (see ``tests/oracles.py``).
 """
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,15 @@ class TestIterate:
         assert info.value.step == 1
         assert info.value.time == 0.25
 
+    def test_zero_denominator_in_mid_run_diverges_at_its_step(self):
+        # phi = h = 1: step 1 goes to (1, -1), where the prey denominator
+        # 1 + l + 0*d/capacity is exactly 0
+        p = ModelParams.unchecked(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(DivergenceError) as info:
+            iterate(p, SchemeConfig(h=1.0, t_end=5.0, scheme=MICKENS),
+                    State(0.5, -0.5))
+        assert (info.value.step, info.value.time) == (2, 2.0)
+
     def test_overflowing_mickens_constants_diverge_at_first_step(self, s0):
         # beta*h = -1000: exp(-beta*h) in mickens_phi overflows
         p = ModelParams.unchecked(0.05, -1000.0, 0.4, 1.0)
@@ -288,3 +298,50 @@ def test_mickens_stays_finite_and_non_negative(params, h, steps, start):
     states = iterate(params, cfg, State(*start)).states
     assert np.isfinite(states).all()
     assert (states >= 0.0).all()
+
+
+STEPS = {REFERENCE: rk4_step, EULER: euler_step, MICKENS: mickens_step}
+
+
+@pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
+def test_single_step_at_zero_capacity_diverges_like_iterate(s0, scheme):
+    p = ModelParams.unchecked(0.05, 0.3, 0.4, 0.0)
+    with pytest.raises(DivergenceError) as info:
+        STEPS[scheme](p, 0.25, s0)
+    assert (info.value.step, info.value.time) == (1, 0.25)
+
+
+# zero, huge and subnormal magnitudes of either sign, or moderate values
+unchecked_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-310, -1e-310]),
+    st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from([REFERENCE, EULER, MICKENS]),
+       params=st.one_of(valid_params(),
+                        st.builds(ModelParams.unchecked, unchecked_value,
+                                  unchecked_value, unchecked_value,
+                                  unchecked_value)),
+       h=st.floats(1e-6, 100.0),
+       start=st.builds(State, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+def test_single_step_is_row_one_of_iterate(scheme, params, h, start):
+    """Bit for bit, or the same DivergenceError at step 1."""
+    try:
+        single = STEPS[scheme](params, h, start)
+    except DivergenceError as exc:
+        single = exc.step
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        try:
+            traj = iterate(params, SchemeConfig(h=h, t_end=h, scheme=scheme),
+                           start)
+        except DivergenceError as exc:
+            assert exc.step == 1
+            # only iterate's reference scheme rejects a non-finite state
+            assert single == 1 or (scheme == REFERENCE and not np.isfinite(
+                [single.d, single.l]).all())
+            return
+    assert isinstance(single, State)
+    assert (np.array([single.d, single.l]).tobytes()
+            == traj.states[1].tobytes())
