@@ -4,6 +4,7 @@ Weight reference values are frozen from 40-digit evaluation of the
 defining power differences, and Mittag-Leffler values from 40-digit
 series evaluation (see ``tests/oracles.py``).
 """
+import hashlib
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predprey import (
+    DEFAULT_INITIAL,
     DEFAULT_PARAMS,
     FRACTIONAL,
     DivergenceError,
@@ -359,6 +361,60 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert caputo_solve_batch([]) == []
+
+
+def _digest(states):
+    return hashlib.sha256(np.ascontiguousarray(states).tobytes()).hexdigest()[:16]
+
+
+# (sigma, h, t_end, final d and l as float.hex, sha256 prefix of the states'
+# bytes) for DEFAULT_PARAMS from DEFAULT_INITIAL.  n = 4000 meets FFT blocks
+# of 128 to 2048, most sizes more than once; n = 1024 and 1536 end on a
+# block edge.
+FROZEN_CAPUTO = [
+    (0.9, 0.025, 100.0, "0x1.6e085abaea28cp-1", "0x1.b5a2af3ca5ae0p-7",
+     "f4ade6cdc80461df"),
+    (0.95, 0.25, 256.0, "0x1.7ee885ce986fep-1", "0x1.010d1037f2180p-5",
+     "9250f53c46b62e4a"),
+    (0.8, 0.25, 384.0, "0x1.6c58d247f0d18p-1", "0x1.fd241ef3d6410p-6",
+     "d352fa1cf2218ad0"),
+]
+# (sigma, corrector passes, start, final d and l, digest) of one batch at
+# h = 0.25 to t = 300: the one-pass members advance together
+FROZEN_CAPUTO_BATCH = [
+    (0.9, 1, DEFAULT_INITIAL, "0x1.79db2cdc182bcp-1", "0x1.ff27e7a174ee0p-6",
+     "0b0c4aaad5e9bef6"),
+    (0.75, 2, State(0.6, 0.1), "0x1.75bc45cd4c046p-1", "0x1.fa1a157b392a0p-6",
+     "e748aecb09654bab"),
+    (0.6, 1, State(0.6, 0.1), "0x1.5350879911333p-1", "0x1.0f0c4156e91dep-5",
+     "9cbeb3612109a11b"),
+]
+
+
+class TestCaputoBitExact:
+    @pytest.mark.parametrize("sigma,h,t_end,d_hex,l_hex,digest", FROZEN_CAPUTO)
+    def test_solve_matches_frozen_bits(self, sigma, h, t_end, d_hex, l_hex,
+                                       digest):
+        traj = caputo_solve(DEFAULT_PARAMS,
+                            FractionalConfig(sigma=sigma, h=h, t_end=t_end),
+                            DEFAULT_INITIAL)
+        assert (traj.final.d.hex(), traj.final.l.hex()) == (d_hex, l_hex)
+        assert _digest(traj.states) == digest
+
+    def test_batch_matches_frozen_bits(self):
+        runs = [(DEFAULT_PARAMS,
+                 FractionalConfig(sigma=sigma, h=0.25, t_end=300.0,
+                                  corrector_passes=passes), start)
+                for sigma, passes, start, *_ in FROZEN_CAPUTO_BATCH]
+        got = [(t.final.d.hex(), t.final.l.hex(), _digest(t.states))
+               for t in caputo_solve_batch(runs)]
+        assert got == [tuple(row[3:]) for row in FROZEN_CAPUTO_BATCH]
+
+    def test_scalar_matches_frozen_bits(self):
+        ys = scalar_caputo_solve(-1.0, 0.7, 1.0, 0.05, 35.0)
+        assert len(ys) == 701
+        assert float(ys[-1]).hex() == "0x1.e5a7ce6806120p-6"
+        assert _digest(ys) == "aa21339ece9399f8"
 
 
 PINNED_DIVERGENCES = [
