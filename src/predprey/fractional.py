@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FRACTIONAL, ModelParams, State, Trajectory, grid_steps,
-                    rate_field)
+from .model import (FRACTIONAL, ModelParams, State, Trajectory, check_order,
+                    grid_steps, rate_field)
 from .schemes import DivergenceError
 from .special import mittag_leffler
 
@@ -43,8 +43,7 @@ class FractionalConfig:
     corrector_passes: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in (0, 1], got {self.sigma!r}")
+        check_order(self.sigma)
         grid_steps(self.h, self.t_end)
         if self.corrector_passes < 1:
             raise ValueError("corrector_passes must be at least 1")
@@ -120,13 +119,14 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     of length 2L per member (overlap-save: outputs L .. 2L-1 do not wrap),
     so a run costs O(n log^2 n).
 
-    Row k of ``hist`` holds (d_k, l_k, F_k) of every member once step k-1
-    has written it.  Until then it gathers the far parts (P_{k-1},
-    H_{k-1}), which the step adds to its near sums.  They start at the
-    j = 0 terms d[k-1] F_0 and a_{0,k} F_0, and F_0 is stored as zero so
-    the direct and FFT sums skip j = 0.  The state update runs on Python
-    floats one member at a time, so each member's numbers do not depend on
-    the batch it is solved in.
+    Row k of ``hist`` gathers the far parts (P_{k-1}, H_{k-1}) of every
+    member, which step k-1 adds to its near sums.  They start at the j = 0
+    terms d[k-1] F_0 and a_{0,k} F_0.  Then step k-1 writes (d_k, l_k)
+    over P_{k-1}, and F_k goes to the near window, which is copied over
+    the H parts of its block's rows once the block is complete.  F_0 is
+    stored as zero so the direct and FFT sums skip j = 0.  The state
+    update runs on Python floats one member at a time, so each member's
+    numbers do not depend on the batch it is solved in.
     """
     fft = np.fft    # numpy may load this submodule only on first use
     members = [(f, d0, l0, h ** s / math.gamma(s + 1.0),
@@ -140,7 +140,6 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     kernels = np.empty((len(sigmas), 2, n_steps))
     hist = np.empty((n_steps + 1, len(sigmas), 2, 2))
     hist[0, :, 0] = x0s
-    hist[0, :, 1] = 0.0
     for i, (s, f0) in enumerate(zip(sigmas, f0s)):
         kernels[i, 0] = _rectangle_kernel(s, n_steps)
         kernels[i, 1] = _trapezoid_kernel(s, n_steps)[1:]
@@ -151,14 +150,25 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     near = np.ascontiguousarray(kernels[:, :, _NEAR - 1::-1])
     fs_by_member = hist[:, :, 1].swapaxes(0, 1)
     pending = hist.transpose(2, 3, 1, 0)
-    # the near weights of step n, which sums sources b .. n
+    # step n at position pos = n - b of its block [b, b + _NEAR) sums the
+    # sources b .. n: the weights lags[pos] against heads[pos], a view of
+    # window[:, :pos + 1], where window[:, i] holds F_{b+i}
+    window = np.zeros((len(sigmas), _NEAR + 1, 2))
     lags = [near[:, :, -1 - i:] for i in range(_NEAR)]
-    # a flat memoryview reads and writes float items much faster than
-    # numpy rows; member i's slots in row k start at k*width + 4*i
-    with memoryview(hist.reshape(-1)) as flat:
+    heads = [window[:, :i + 1] for i in range(_NEAR)]
+    sums = np.empty((len(sigmas), 2, 2))
+    spectra = {}
+    # flat memoryviews read and write float items much faster than numpy
+    # rows; member i's slots in row k of hist start at k*width + 4*i, its
+    # near sums at 4*i, and its window at i*(2*_NEAR + 2)
+    with memoryview(hist.reshape(-1)) as flat, \
+            memoryview(window.reshape(-1)) as win, \
+            memoryview(sums.reshape(-1)) as near_sums:
         for n in range(n_steps):
-            b = n - n % _NEAR
-            if b == n > 0:
+            pos = n % _NEAR
+            if pos == 0 < n:
+                hist[n - _NEAR:n, :, 1] = window[:, :_NEAR].swapaxes(0, 1)
+                window[:, 0] = window[:, _NEAR]
                 # sources [n - size, n) are complete: add them to targets
                 # [n, n + size), which gather in rows n + 1 onward
                 size = n & -n
@@ -168,23 +178,35 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                 with np.errstate(invalid="ignore", over="ignore"):
                     srcs = fft.rfft(fs_by_member[:, n - size:n].swapaxes(1, 2),
                                     2 * size)
+                    # a size recurs every 2*size steps, so the kernel spectra
+                    # of each size are kept until its last block event
+                    keep = n + 2 * size < n_steps
+                    specs = spectra.pop(size, None) or (
+                        fft.rfft(kernels[:, k, :2 * size], 2 * size)
+                        for k in range(2))
+                    kept = []
                     # one kernel and one component at a time, which keeps the
                     # temporaries of the largest blocks small; both factors
                     # of each product are (B, size + 1) with unit inner stride
-                    for k in range(2):
-                        spec = fft.rfft(kernels[:, k, :2 * size], 2 * size)
+                    for k, spec in enumerate(specs):
                         for c in range(2):
                             far = fft.irfft(srcs[:, c] * spec, 2 * size)
                             pending[k, c, :, n + 1:n + 1 + rows] += \
                                 far[:, size:size + rows]
+                        if keep:
+                            kept.append(spec)
+                    if keep:
+                        spectra[size] = kept
+            np.matmul(lags[pos], heads[pos], out=sums)
             at = (n + 1) * width
-            for (f, d0, l0, scale_p, scale_c), ((pd, pl), (cd, cl)) in zip(
-                    members, (lags[n - b] @ fs_by_member[:, b:n + 1]).tolist()):
+            slot = 2 * pos + 2
+            q = 0
+            for f, d0, l0, scale_p, scale_c in members:
                 # near + far, the far part pending in this member's slots
-                pd += flat[at]
-                pl += flat[at + 1]
-                cd += flat[at + 2]
-                cl += flat[at + 3]
+                pd = near_sums[q] + flat[at]
+                pl = near_sums[q + 1] + flat[at + 1]
+                cd = near_sums[q + 2] + flat[at + 2]
+                cl = near_sums[q + 3] + flat[at + 3]
                 fd, fl = f(d0 + scale_p * pd, l0 + scale_p * pl)
                 d = d0 + scale_c * (cd + fd)
                 l = l0 + scale_c * (cl + fl)
@@ -194,8 +216,10 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                     l = l0 + scale_c * (cl + fl)
                 flat[at] = d
                 flat[at + 1] = l
-                flat[at + 2], flat[at + 3] = f(d, l)
+                win[slot], win[slot + 1] = f(d, l)
                 at += 4
+                q += 4
+                slot += 2 * _NEAR + 2
     return np.ascontiguousarray(hist[:, :, 0].swapaxes(0, 1))
 
 
