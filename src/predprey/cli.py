@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 invariant violation under --strict (or solver
-divergence), 2 usage or configuration errors.
+divergence), 2 usage or configuration errors, or a run too large for
+memory.
 """
 
 from __future__ import annotations
@@ -196,6 +197,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:     # a grid too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

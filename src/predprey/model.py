@@ -110,6 +110,12 @@ def grid_steps(h: float, t_end: float) -> int:
     return math.ceil(t_end / h - 1e-9)
 
 
+def check_order(sigma: float) -> None:
+    """Raise ValueError unless the Caputo order lies in (0, 1]."""
+    if not 0.0 < sigma <= 1.0:
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma!r}")
+
+
 def rate_field(params: ModelParams):
     """The field as f(d, l) -> (dD/dt, dL/dt), parameters bound as floats."""
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (E3, EULER, FRACTIONAL, MICKENS, REFERENCE, Equilibrium,
-                    ModelParams, State, equilibria)
+                    ModelParams, State, check_order, equilibria)
 from .schemes import mickens_phi
 
 SADDLE = "saddle"
@@ -186,7 +186,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
 
     ``h_or_sigma`` is the step size for the discrete schemes and the order
     for the Caputo form (recorded but not used by the criterion, which for
-    the admissible orders coincides with the continuous one).  Criterion
+    the admissible orders coincides with the continuous one); an order
+    outside (0, 1] raises ValueError.  Criterion
     degeneracies come back as ``non-hyperbolic`` or ``out-of-criterion``
     classifications rather than exceptions; so do points whose Jacobian
     is undefined (capacity 0, where D/capacity has no value), overflows or
@@ -202,6 +203,8 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
         h = float(h_or_sigma)
         if not h > 0.0:
             raise ValueError(f"step size must be positive, got {h!r}")
+    elif scheme == FRACTIONAL and h_or_sigma is not None:
+        check_order(h_or_sigma)
 
     reports = []
     for eq in equilibria(params):

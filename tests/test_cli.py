@@ -142,6 +142,20 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "(step 1)" in err
 
+    @pytest.mark.parametrize("scheme,size", [("reference", "218. TiB"),
+                                             ("fractional", "437. TiB")])
+    def test_grid_too_large_for_memory_exits_two(self, tmp_path, capsys,
+                                                 scheme, size):
+        # 3e13 steps: far past any address space, so the first array of
+        # the run fails to allocate at once
+        code = run_cli("simulate", "--scheme", scheme, "--h", 1e-11,
+                       "--t-end", 300, "--output", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: Unable to allocate {size}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_mickens_constants_exit_one(self, tmp_path, capsys):
         code = run_cli("simulate", "--scheme", "mickens", "--beta", -1000,
                        "--h", 1, "--output", tmp_path)
@@ -205,6 +219,15 @@ class TestStability:
         assert rows[0].startswith("E1 (0, 0): out-of-criterion")
         assert rows[1].startswith("E2 (1, 0): out-of-criterion")
         assert all("the mickens Jacobian overflows" in row for row in rows[:2])
+
+    @pytest.mark.parametrize("sigma", ["1.5", "-2", "0", "nan"])
+    def test_order_outside_unit_interval_exits_two(self, capsys, sigma):
+        assert run_cli("stability", "--scheme", "fractional",
+                       "--sigma", sigma) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sigma must lie in (0, 1], "
+                                f"got {float(sigma)!r}\n")
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"

@@ -243,6 +243,17 @@ class TestClassifyFractional:
             SADDLE, SADDLE, SINK]
         assert table[E3].criterion_details["sigma"] == 0.95
 
+    @pytest.mark.parametrize("sigma", [1.5, -2.0, 0.0, math.nan])
+    def test_order_outside_unit_interval_raises(self, params, sigma):
+        with pytest.raises(ValueError,
+                           match=r"^sigma must lie in \(0, 1\], got "):
+            classify(params, FRACTIONAL, sigma)
+
+    def test_order_may_be_omitted(self, params):
+        table = _by_label(classify(params, FRACTIONAL))
+        assert table[E3].classification == SINK
+        assert "sigma" not in table[E3].criterion_details
+
 
 class TestClassifyEdgeCases:
     def test_unknown_scheme(self, params):
