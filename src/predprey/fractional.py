@@ -152,7 +152,8 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     pending = hist.transpose(2, 3, 1, 0)
     # step n at position pos = n - b of its block [b, b + _NEAR) sums the
     # sources b .. n: the weights lags[pos] against heads[pos], a view of
-    # window[:, :pos + 1], where window[:, i] holds F_{b+i}
+    # window[:, :pos + 1], where window[:, i] holds F_{b+i}; F_{b+_NEAR}
+    # waits in the last slot until the block moves to the history
     window = np.zeros((len(sigmas), _NEAR + 1, 2))
     lags = [near[:, :, -1 - i:] for i in range(_NEAR)]
     heads = [window[:, :i + 1] for i in range(_NEAR)]
@@ -167,6 +168,7 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
         for n in range(n_steps):
             pos = n % _NEAR
             if pos == 0 < n:
+                # the FFT sums read the finished block from the history
                 hist[n - _NEAR:n, :, 1] = window[:, :_NEAR].swapaxes(0, 1)
                 window[:, 0] = window[:, _NEAR]
                 # sources [n - size, n) are complete: add them to targets
@@ -178,13 +180,13 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                 with np.errstate(invalid="ignore", over="ignore"):
                     srcs = fft.rfft(fs_by_member[:, n - size:n].swapaxes(1, 2),
                                     2 * size)
-                    # a size recurs every 2*size steps, so the kernel spectra
-                    # of each size are kept until its last block event
-                    keep = n + 2 * size < n_steps
+                    # a size recurs every 2*size steps: its kernel spectra
+                    # are kept until its last block event
                     specs = spectra.pop(size, None) or (
                         fft.rfft(kernels[:, k, :2 * size], 2 * size)
                         for k in range(2))
-                    kept = []
+                    if n + 2 * size < n_steps:
+                        spectra[size] = specs = list(specs)
                     # one kernel and one component at a time, which keeps the
                     # temporaries of the largest blocks small; both factors
                     # of each product are (B, size + 1) with unit inner stride
@@ -193,10 +195,6 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                             far = fft.irfft(srcs[:, c] * spec, 2 * size)
                             pending[k, c, :, n + 1:n + 1 + rows] += \
                                 far[:, size:size + rows]
-                        if keep:
-                            kept.append(spec)
-                    if keep:
-                        spectra[size] = kept
             np.matmul(lags[pos], heads[pos], out=sums)
             at = (n + 1) * width
             slot = 2 * pos + 2
