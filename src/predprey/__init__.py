@@ -7,23 +7,20 @@ theorem-backed positivity/conservation checks come along for the ride.
 """
 
 from .model import (E1, E2, E3, EULER, FRACTIONAL, MICKENS, REFERENCE, SCHEMES,
-                    Equilibrium, ModelParams, State, Trajectory, equilibria,
-                    rates)
-from .special import MLSeriesConfig, beta, gamma, mittag_leffler
+                    ModelParams, State, Trajectory, equilibria, rates)
+from .special import beta, gamma, mittag_leffler
 from .schemes import (DivergenceError, SchemeConfig, StepSizeWarning, euler_step,
                       iterate, mickens_phi, mickens_step, reference_solve,
                       rk4_step)
-from .fractional import (ConservationBound, FractionalConfig, caputo_solve,
-                         caputo_solve_batch, fractional_conservation_bound,
-                         scalar_caputo_solve)
+from .fractional import (FractionalConfig, caputo_solve, caputo_solve_batch,
+                         fractional_conservation_bound, scalar_caputo_solve)
 from .stability import (NON_HYPERBOLIC, OUT_OF_CRITERION, SADDLE, SINK, SOURCE,
-                        Quadratic, StabilityReport, characteristic_quadratic,
-                        classify, euler_step_bound, jacobian_continuous,
-                        jacobian_euler, jacobian_mickens,
-                        routh_hurwitz_quadratic, schur_cohn_quadratic)
-from .regions import (NEGATIVITY_TOL, RegionSpec, ViolationReport,
-                      check_trajectory, continuous_region, euler_region,
-                      fractional_region, mickens_region)
+                        Quadratic, characteristic_quadratic, classify,
+                        euler_step_bound, jacobian_continuous, jacobian_euler,
+                        jacobian_mickens, routh_hurwitz_quadratic,
+                        schur_cohn_quadratic)
+from .regions import (RegionSpec, check_trajectory, continuous_region,
+                      euler_region, fractional_region, mickens_region)
 from .runner import (CSV_HEADER, DEFAULT_INITIAL, DEFAULT_PARAMS, PRESETS,
                      CompareResult, ConfigError, Scenario, compare,
                      load_scenarios, parse_config, preset_scenarios,
@@ -35,19 +32,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "E1", "E2", "E3", "EULER", "FRACTIONAL", "MICKENS", "REFERENCE", "SCHEMES",
-    "Equilibrium", "ModelParams", "State", "Trajectory", "equilibria",
-    "rates",
-    "MLSeriesConfig", "beta", "gamma", "mittag_leffler",
+    "ModelParams", "State", "Trajectory", "equilibria", "rates",
+    "beta", "gamma", "mittag_leffler",
     "DivergenceError", "SchemeConfig", "StepSizeWarning", "euler_step",
     "iterate", "mickens_phi", "mickens_step", "reference_solve", "rk4_step",
-    "ConservationBound", "FractionalConfig", "caputo_solve",
-    "caputo_solve_batch", "fractional_conservation_bound", "scalar_caputo_solve",
+    "FractionalConfig", "caputo_solve", "caputo_solve_batch",
+    "fractional_conservation_bound", "scalar_caputo_solve",
     "NON_HYPERBOLIC", "OUT_OF_CRITERION", "SADDLE", "SINK", "SOURCE",
-    "Quadratic", "StabilityReport", "characteristic_quadratic", "classify",
+    "Quadratic", "characteristic_quadratic", "classify",
     "euler_step_bound", "jacobian_continuous", "jacobian_euler",
     "jacobian_mickens", "routh_hurwitz_quadratic", "schur_cohn_quadratic",
-    "NEGATIVITY_TOL", "RegionSpec", "ViolationReport", "check_trajectory",
-    "continuous_region", "euler_region", "fractional_region", "mickens_region",
+    "RegionSpec", "check_trajectory", "continuous_region", "euler_region",
+    "fractional_region", "mickens_region",
     "CSV_HEADER", "DEFAULT_INITIAL", "DEFAULT_PARAMS", "PRESETS",
     "CompareResult", "ConfigError", "Scenario", "compare", "load_scenarios",
     "parse_config", "preset_scenarios", "run_batch", "run_scenario",

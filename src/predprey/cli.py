@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .model import FRACTIONAL, SCHEMES
 from .runner import (PRESETS, ConfigError, Scenario, compare, load_scenarios,
-                     run_batch, run_presets, run_scenario, stability_text,
+                     run_batch, run_presets, run_scenarios, stability_text,
                      trajectory_from_csv)
 from .schemes import DivergenceError
 
@@ -91,9 +91,10 @@ def cmd_stability(args) -> int:
 
 def cmd_verify(args) -> int:
     scenarios = _scenarios_for(args, "verify", verify=True)
+    _, reports = run_scenarios(scenarios, args.output)
     ok = True
-    for sc in scenarios:
-        _, report = run_scenario(sc, args.output)
+    # every scenario asks for verify, so each has one report, in order
+    for sc, report in zip(scenarios, reports):
         if report.ok:
             print(f"{sc.name}: ok (scheme {sc.scheme}, {sc.t_end:g} time units)")
         else:

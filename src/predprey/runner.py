@@ -97,20 +97,6 @@ def solve_scenario(sc: Scenario) -> Trajectory:
     return solve(sc.params, _config(sc), sc.initial)
 
 
-def _solve_fractional(scenarios) -> dict:
-    """Name -> trajectory, or the error its solve raised, of each
-    fractional scenario, all solved by one batch call."""
-    solved, runs = {}, {}
-    for sc in scenarios:
-        if sc.scheme == FRACTIONAL:
-            try:
-                runs[sc.name] = (sc.params, _config(sc), sc.initial)
-            except ValueError as exc:
-                solved[sc.name] = exc
-    solved.update(zip(runs, caputo_solve_batch(runs.values())))
-    return solved
-
-
 def scheme_region(sc: Scenario):
     """The region spec matching a scenario's scheme."""
     if sc.scheme == REFERENCE:
@@ -262,19 +248,33 @@ def run_scenario(sc: Scenario, out_dir, traj=None):
 def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
     """Run a batch in the calling thread; artifact files never collide by name.
 
-    The output directory is made first, so a directory that cannot be
-    made fails the batch before any solve.  Fractional scenarios are then
-    solved together by one :func:`caputo_solve_batch` call, and each
-    scenario runs through :func:`run_scenario` in order, which solves the
-    classical ones and writes every artifact.  A scenario whose run failed
-    still lets the others write theirs; the first such error in scenario
-    order is raised once all have run.  ``workers`` has no effect.
+    The output directory is made first, then every scenario's solver
+    configuration and, for ``verify`` outputs, its region are built, so a
+    directory that cannot be made or a bad setting fails the batch before
+    any solve.  Fractional scenarios are solved together by one
+    :func:`caputo_solve_batch` call, and a negative start among them is
+    raised before any write: every ValueError leaves nothing written.
+    Each scenario then runs through :func:`run_scenario` in order, which
+    solves the classical ones and writes every artifact.  A scenario whose
+    run failed still lets the others write theirs; the first such error
+    in scenario order is raised once all have run.  ``workers`` has no
+    effect.
     """
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique within a batch")
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    solved = _solve_fractional(scenarios)
+    runs = {}
+    for sc in scenarios:
+        cfg = _config(sc)
+        if "verify" in sc.outputs:
+            scheme_region(sc)
+        if sc.scheme == FRACTIONAL:
+            runs[sc.name] = (sc.params, cfg, sc.initial)
+    solved = dict(zip(runs, caputo_solve_batch(runs.values())))
+    for traj in solved.values():
+        if isinstance(traj, ValueError):
+            raise traj
     results, error = [], None
     for sc in scenarios:
         try:
@@ -382,7 +382,6 @@ def run_presets(presets, out_dir):
     paths preset by preset: its CSVs in scenario order, then its script.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)     # fail before any solve
     bundles = {preset: preset_scenarios(preset) for preset in presets}
     first, source = {}, {}
     for scenarios in bundles.values():

@@ -165,6 +165,41 @@ class TestSimulate:
         assert "(step 1)" in err
 
 
+# a batch whose later scenario has a bad setting: the command exits 2
+# before the good scenarios write anything
+_GOOD = "[good]\nt_end = 5\n\n"
+_BAD_BATCHES = {
+    "simulate-sigma": ("simulate", _GOOD + "[bad]\nscheme = fractional\n"
+                       "sigma = 1.5\nt_end = 5\n"),
+    "verify-sigma": ("verify", _GOOD + "[bad]\nscheme = fractional\n"
+                     "sigma = 1.5\nt_end = 5\n"),
+    "sweep-sigma": ("sweep", None),
+    "simulate-negative-start": ("simulate", _GOOD + "[bad]\n"
+                                "scheme = fractional\nd0 = -0.1\nt_end = 5\n"),
+    "simulate-region": ("simulate", _GOOD + "[bad]\nbeta = 0\nt_end = 5\n"
+                        "outputs = timeseries, verify\n"),
+    "verify-region": ("verify", _GOOD + "[bad]\nbeta = 0\nt_end = 5\n"
+                      "outputs = timeseries, verify\n"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_BATCHES)
+def test_bad_scenario_in_a_batch_writes_nothing(tmp_path, capsys, case):
+    command, text = _BAD_BATCHES[case]
+    out = tmp_path / "out"
+    if text is None:
+        argv = ("sweep", "--param", "sigma", "--values", "0.9,1.5",
+                "--t-end", 5)
+    else:
+        cfg = tmp_path / "runs.cfg"
+        cfg.write_text(text)
+        argv = (command, "--config", cfg)
+    assert run_cli(*argv, "--output", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert list(out.iterdir()) == []
+
+
 class TestStability:
     def test_table_printed(self, capsys):
         assert run_cli("stability") == 0
@@ -287,6 +322,26 @@ class TestVerify:
         assert code == 0
         assert (tmp_path / "a_stability.txt").exists()
         assert (tmp_path / "a_verification.txt").exists()
+
+    def test_config_fractional_sections_share_one_batch(self, tmp_path,
+                                                         capsys, monkeypatch):
+        batches = []
+
+        def batch(runs, real=runner.caputo_solve_batch):
+            runs = list(runs)
+            batches.append(len(runs))
+            return real(runs)
+
+        monkeypatch.setattr(runner, "caputo_solve_batch", batch)
+        cfg = tmp_path / "runs.cfg"
+        cfg.write_text("[a]\nscheme = fractional\nt_end = 5\n\n"
+                       "[b]\nt_end = 5\n\n"
+                       "[c]\nscheme = fractional\nsigma = 0.8\nt_end = 5\n")
+        assert run_cli("verify", "--config", cfg, "--output", tmp_path) == 0
+        assert batches == [2]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == ["a", "b", "c"]
+        assert all(": ok (scheme " in line for line in printed)
 
 
 class TestCompare:

@@ -319,8 +319,9 @@ class TestRunScenario:
                short_scenario(name="nsfd", scheme=MICKENS, outputs=both),
                short_scenario(name="frac_short", scheme=FRACTIONAL,
                               outputs=both),
-               # fails too, but later in scenario order
-               short_scenario(name="bad_sigma", scheme=FRACTIONAL, sigma=1.5,
+               # diverges too, at step 1, but later in scenario order
+               short_scenario(name="zero_capacity", scheme=FRACTIONAL,
+                              params=ModelParams.unchecked(0.05, 0.3, 0.4, 0.0),
                               outputs=both)]
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
             run_scenarios(scs, tmp_path)
@@ -333,6 +334,21 @@ class TestRunScenario:
         for sc in scs[1:]:
             written = trajectory_from_csv(tmp_path / f"{sc.name}.csv")
             assert np.array_equal(written.states, solve_scenario(sc).states)
+
+    @pytest.mark.parametrize("bad", [
+        dict(scheme=FRACTIONAL, sigma=1.5),
+        dict(scheme=FRACTIONAL, initial=State(-0.1, 0.3)),
+        dict(params=ModelParams.unchecked(0.05, 0.0, 0.4, 1.0),
+             outputs=("timeseries", "verify")),
+    ], ids=["sigma", "negative-start", "region"])
+    def test_value_error_fails_the_batch_before_any_write(self, tmp_path,
+                                                          bad):
+        scs = [short_scenario(name="good", outputs=("timeseries", "verify")),
+               short_scenario(name="frac", scheme=FRACTIONAL),
+               short_scenario(name="bad", **bad)]
+        with pytest.raises(ValueError):
+            run_scenarios(scs, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_batch_collects_everything(self, tmp_path):
         scs = [short_scenario(name="a", outputs=("timeseries", "verify")),
