@@ -15,7 +15,7 @@ from pathlib import Path
 from .model import FRACTIONAL, SCHEMES
 from .runner import (PRESETS, ConfigError, Scenario, compare, load_scenarios,
                      run_batch, run_presets, run_scenarios, stability_text,
-                     trajectory_from_csv)
+                     trajectory_from_csv, write_artifact)
 from .schemes import DivergenceError
 
 
@@ -82,8 +82,7 @@ def cmd_stability(args) -> int:
     if args.output != ".":
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, newline="\n")
-        print(out)
+        print(write_artifact(out, text))
     else:
         print(text, end="")
     return 0

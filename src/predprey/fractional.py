@@ -133,8 +133,6 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                 h ** s / math.gamma(s + 2.0))
                for f, (d0, l0), s in zip(fields, x0s, sigmas)]
     f0s = [f(*x0) for f, x0 in zip(fields, x0s)]
-    width = 4 * len(sigmas)
-    extra_passes = range(corrector_passes - 1)
     # lag-k weight of a source j >= 1: d[k] in the predictor, c[k+1] in
     # the corrector
     kernels = np.empty((len(sigmas), 2, n_steps))
@@ -150,42 +148,44 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     near = np.ascontiguousarray(kernels[:, :, _NEAR - 1::-1])
     fs_by_member = hist[:, :, 1].swapaxes(0, 1)
     pending = hist.transpose(2, 3, 1, 0)
-    # step n at position pos = n - b of its block [b, b + _NEAR) sums the
-    # sources b .. n: the weights lags[pos] against heads[pos], a view of
-    # window[:, :pos + 1], where window[:, i] holds F_{b+i}; F_{b+_NEAR}
-    # waits in the last slot until the block moves to the history
+    # window[:, i] holds F_{b+i} of the block [b, b + _NEAR); F_{b+_NEAR}
+    # waits in the last slot until the block moves to the history.  Step
+    # b + pos sums the sources b .. b + pos, the weights near[:, :, -1 - pos:]
+    # against window[:, :pos + 1], and writes F_{b+pos+1} from item 2*pos + 2
     window = np.zeros((len(sigmas), _NEAR + 1, 2))
-    lags = [near[:, :, -1 - i:] for i in range(_NEAR)]
-    heads = [window[:, :i + 1] for i in range(_NEAR)]
+    positions = [(near[:, :, -1 - pos:], window[:, :pos + 1], 2 * pos + 2)
+                 for pos in range(_NEAR)]
+    stride = 2 * _NEAR + 2
+    passes = range(corrector_passes)
     sums = np.empty((len(sigmas), 2, 2))
     spectra = {}
     # flat memoryviews read and write float items much faster than numpy
-    # rows; member i's slots in row k of hist start at k*width + 4*i, its
-    # near sums at 4*i, and its window at i*(2*_NEAR + 2)
+    # rows; member i's slots in row k of hist start at 4*(k*B + i), its
+    # near sums at 4*i, and its window at i*stride
     with memoryview(hist.reshape(-1)) as flat, \
             memoryview(window.reshape(-1)) as win, \
             memoryview(sums.reshape(-1)) as near_sums:
-        for n in range(n_steps):
-            pos = n % _NEAR
-            if pos == 0 < n:
+        at = 4 * len(sigmas)    # row 1; each step moves it one row on
+        for b in range(0, n_steps, _NEAR):
+            if b:
                 # the FFT sums read the finished block from the history
-                hist[n - _NEAR:n, :, 1] = window[:, :_NEAR].swapaxes(0, 1)
+                hist[b - _NEAR:b, :, 1] = window[:, :_NEAR].swapaxes(0, 1)
                 window[:, 0] = window[:, _NEAR]
-                # sources [n - size, n) are complete: add them to targets
-                # [n, n + size), which gather in rows n + 1 onward
-                size = n & -n
-                rows = min(size, n_steps - n)
+                # sources [b - size, b) are complete: add them to targets
+                # [b, b + size), which gather in rows b + 1 onward
+                size = b & -b
+                rows = min(size, n_steps - b)
                 # a diverged member's sources are not finite; the caller
                 # reports its first non-finite state, so numpy need not warn
                 with np.errstate(invalid="ignore", over="ignore"):
-                    srcs = fft.rfft(fs_by_member[:, n - size:n].swapaxes(1, 2),
+                    srcs = fft.rfft(fs_by_member[:, b - size:b].swapaxes(1, 2),
                                     2 * size)
                     # a size recurs every 2*size steps: its kernel spectra
                     # are kept until its last block event
                     specs = spectra.pop(size, None) or (
                         fft.rfft(kernels[:, k, :2 * size], 2 * size)
                         for k in range(2))
-                    if n + 2 * size < n_steps:
+                    if b + 2 * size < n_steps:
                         spectra[size] = specs = list(specs)
                     # one kernel and one component at a time, which keeps the
                     # temporaries of the largest blocks small; both factors
@@ -193,31 +193,30 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                     for k, spec in enumerate(specs):
                         for c in range(2):
                             far = fft.irfft(srcs[:, c] * spec, 2 * size)
-                            pending[k, c, :, n + 1:n + 1 + rows] += \
+                            pending[k, c, :, b + 1:b + 1 + rows] += \
                                 far[:, size:size + rows]
-            np.matmul(lags[pos], heads[pos], out=sums)
-            at = (n + 1) * width
-            slot = 2 * pos + 2
-            q = 0
-            for f, d0, l0, scale_p, scale_c in members:
-                # near + far, the far part pending in this member's slots
-                pd = near_sums[q] + flat[at]
-                pl = near_sums[q + 1] + flat[at + 1]
-                cd = near_sums[q + 2] + flat[at + 2]
-                cl = near_sums[q + 3] + flat[at + 3]
-                fd, fl = f(d0 + scale_p * pd, l0 + scale_p * pl)
-                d = d0 + scale_c * (cd + fd)
-                l = l0 + scale_c * (cl + fl)
-                for _ in extra_passes:
+            for lag, head, slot in positions[:n_steps - b]:
+                np.matmul(lag, head, sums)
+                q = 0
+                for f, d0, l0, scale_p, scale_c in members:
+                    # near + far, the far part pending in this member's
+                    # slots; the last field value is the new source
+                    d = d0 + scale_p * (near_sums[q] + flat[at])
+                    l = l0 + scale_p * (near_sums[q + 1] + flat[at + 1])
+                    cd = near_sums[q + 2] + flat[at + 2]
+                    cl = near_sums[q + 3] + flat[at + 3]
                     fd, fl = f(d, l)
-                    d = d0 + scale_c * (cd + fd)
-                    l = l0 + scale_c * (cl + fl)
-                flat[at] = d
-                flat[at + 1] = l
-                win[slot], win[slot + 1] = f(d, l)
-                at += 4
-                q += 4
-                slot += 2 * _NEAR + 2
+                    for _ in passes:
+                        d = d0 + scale_c * (cd + fd)
+                        l = l0 + scale_c * (cl + fl)
+                        fd, fl = f(d, l)
+                    flat[at] = d
+                    flat[at + 1] = l
+                    win[slot] = fd
+                    win[slot + 1] = fl
+                    at += 4
+                    q += 4
+                    slot += stride
     return np.ascontiguousarray(hist[:, :, 0].swapaxes(0, 1))
 
 

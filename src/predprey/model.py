@@ -122,7 +122,8 @@ def rate_field(params: ModelParams):
                                 params.capacity)
 
     def f(d, l):
-        return alpha * d * (1.0 - d / capacity) - p * d * l, p * d * l - beta * l
+        pdl = p * d * l
+        return alpha * d * (1.0 - d / capacity) - pdl, pdl - beta * l
     return f
 
 

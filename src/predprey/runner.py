@@ -108,15 +108,24 @@ def scheme_region(sc: Scenario):
     return fractional_region(sc.params, sc.initial)
 
 
+def write_artifact(path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8 bytes, whatever the locale.
+
+    Every artifact goes through here, so its bytes are exactly the text's:
+    LF line endings stay LF on every platform.
+    """
+    path = Path(path)
+    path.write_bytes(text.encode())
+    return path
+
+
 # {{{ CSV round trip
 
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
     """Write ``t,D,L`` rows with 17 significant digits and LF endings."""
-    path = Path(path)
     values = np.column_stack([traj.times, traj.states]).ravel().tolist()
     body = "%.17g,%.17g,%.17g\n" * len(traj) % tuple(values)
-    path.write_text(f"{CSV_HEADER}\n{body}", newline="\n")
-    return path
+    return write_artifact(path, f"{CSV_HEADER}\n{body}")
 
 
 def trajectory_from_csv(path) -> Trajectory:
@@ -234,14 +243,12 @@ def run_scenario(sc: Scenario, out_dir, traj=None):
     if "timeseries" in sc.outputs or "phase" in sc.outputs:
         paths.append(trajectory_to_csv(traj, out_dir / f"{sc.name}.csv"))
     if "stability" in sc.outputs:
-        p = out_dir / f"{sc.name}_stability.txt"
-        p.write_text(stability_text(sc), newline="\n")
-        paths.append(p)
+        paths.append(write_artifact(out_dir / f"{sc.name}_stability.txt",
+                                    stability_text(sc)))
     if "verify" in sc.outputs:
         report = check_trajectory(traj, region)
-        p = out_dir / f"{sc.name}_verification.txt"
-        p.write_text(_verification_text(sc, report), newline="\n")
-        paths.append(p)
+        paths.append(write_artifact(out_dir / f"{sc.name}_verification.txt",
+                                    _verification_text(sc, report)))
     return paths, report
 
 
@@ -249,11 +256,13 @@ def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
     """Run a batch in the calling thread; artifact files never collide by name.
 
     The output directory is made first, then every scenario's solver
-    configuration and, for ``verify`` outputs, its region are built, so a
-    directory that cannot be made or a bad setting fails the batch before
-    any solve.  Fractional scenarios are solved together by one
-    :func:`caputo_solve_batch` call, and a negative start among them is
-    raised before any write: every ValueError leaves nothing written.
+    configuration and, for ``verify`` outputs, its region are built, and
+    each classical scenario's time grid is allocated once, so a directory
+    that cannot be made, a bad setting or a grid too large for memory
+    fails the batch before any solve.  Fractional scenarios are solved
+    together by one :func:`caputo_solve_batch` call, and a negative start
+    among them is raised before any write: every ValueError and
+    MemoryError leaves nothing written.
     Each scenario then runs through :func:`run_scenario` in order, which
     solves the classical ones and writes every artifact.  A scenario whose
     run failed still lets the others write theirs; the first such error
@@ -271,6 +280,10 @@ def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
             scheme_region(sc)
         if sc.scheme == FRACTIONAL:
             runs[sc.name] = (sc.params, cfg, sc.initial)
+        else:
+            # the first array iterate allocates; the solve stays in
+            # run_scenario, and this raises MemoryError before any write
+            np.empty(cfg.n_steps() + 1)
     solved = dict(zip(runs, caputo_solve_batch(runs.values())))
     for traj in solved.values():
         if isinstance(traj, ValueError):
@@ -324,8 +337,7 @@ def write_gnuplot_script(csv_paths, out_path, title: str,
             "set ylabel 'L'",
             plot([("2:3", "")]),
         ]
-    out_path.write_text("\n".join(lines) + "\n", newline="\n")
-    return out_path
+    return write_artifact(out_path, "\n".join(lines) + "\n")
 
 
 def run_batch(scenarios, out_dir, script: str, title: str, phase: bool = True):

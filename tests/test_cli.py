@@ -180,6 +180,9 @@ _BAD_BATCHES = {
                         "outputs = timeseries, verify\n"),
     "verify-region": ("verify", _GOOD + "[bad]\nbeta = 0\nt_end = 5\n"
                       "outputs = timeseries, verify\n"),
+    # a classical grid of 3e13 points cannot be allocated
+    "simulate-grid-too-large": ("simulate", _GOOD + "[huge]\nh = 1e-11\n"
+                                "t_end = 300\n"),
 }
 
 

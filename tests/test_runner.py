@@ -292,6 +292,22 @@ class TestRunScenario:
         assert "violation at index 1" in text
         assert report.violated_quantity in text
 
+    def test_report_bytes_are_pinned(self, tmp_path):
+        sc = short_scenario(name="neg", scheme=EULER, h=2.0, t_end=8.0,
+                            initial=State(0.5, 1.5),
+                            outputs=("stability", "verify"))
+        stability, verification = run_scenario(sc, tmp_path)[0]
+        assert stability.read_bytes() == (
+            b"# stability report: scenario neg, scheme euler\n"
+            b"E1 (0, 0): saddle [P(1)=-0.06, P(-1)=2.94, P(0)=0.44]\n"
+            b"E2 (1, 0): saddle [P(1)=-0.02, P(-1)=4.18, P(0)=1.08]\n"
+            b"E3 (0.75, 0.03125): sink [P(1)=0.015, P(-1)=3.865, P(0)=0.94],"
+            b" h_max=10\n")
+        assert verification.read_bytes() == (
+            b"# verification report: scenario neg, scheme euler\n"
+            b"violation at index 1 (t = 2): D >= 0, observed "
+            b"-0.075000000000000067, bound -9.9999999999999998e-13\n")
+
     def test_given_trajectory_or_error_is_used(self, tmp_path):
         sc = short_scenario(name="given", outputs=("timeseries",))
         traj = solve_scenario(short_scenario(scheme=MICKENS))

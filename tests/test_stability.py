@@ -336,6 +336,26 @@ def test_matignon_sector_agrees_with_routh_hurwitz(params, sigma):
         assert sector == (rep.classification == SINK), rep.equilibrium.label
 
 
+@st.composite
+def corpus_params(draw):
+    """alpha < beta < p in [0.02, 0.98], gaps >= 0.02, capacity 1, as the
+    acceptance corpus draws them."""
+    alpha = draw(st.floats(0.02, 0.94))
+    beta = draw(st.floats(alpha + 0.02, 0.96))
+    return ModelParams(alpha, beta, draw(st.floats(beta + 0.02, 0.98)), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=corpus_params(),
+       h=st.floats(math.log(0.01), math.log(200.0)).map(math.exp))
+def test_mickens_labels_match_the_flow(params, h):
+    """The Mickens map is dynamically consistent: at any step it gives
+    every equilibrium the label the flow gives it."""
+    labels = [[r.classification for r in classify(params, *scheme_arg)]
+              for scheme_arg in ((MICKENS, h), (REFERENCE,))]
+    assert labels[0] == labels[1]
+
+
 # c2 in +-[1e-3, 1e3]; c1 and c0 in [-1e6, 1e6], often near the unit circle
 leading = st.tuples(st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0])).map(
     lambda pair: pair[0] * pair[1])
