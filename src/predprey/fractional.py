@@ -195,8 +195,9 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                             far = fft.irfft(srcs[:, c] * spec, 2 * size)
                             pending[k, c, :, b + 1:b + 1 + rows] += \
                                 far[:, size:size + rows]
-            for lag, head, slot in positions[:n_steps - b]:
-                np.matmul(lag, head, sums)
+            # zip ends the last block early; a slice per block raised peak RSS
+            for (lag, head, slot), _ in zip(positions, range(b, n_steps)):
+                np.matmul(lag, head, out=sums)
                 q = 0
                 for f, d0, l0, scale_p, scale_c in members:
                     # near + far, the far part pending in this member's
