@@ -13,14 +13,15 @@ from .schemes import (DivergenceError, SchemeConfig, StepSizeWarning, euler_step
                       iterate, mickens_phi, mickens_step, reference_solve,
                       rk4_step)
 from .fractional import (FractionalConfig, caputo_solve, caputo_solve_batch,
-                         fractional_conservation_bound, scalar_caputo_solve)
+                         scalar_caputo_solve)
 from .stability import (NON_HYPERBOLIC, OUT_OF_CRITERION, SADDLE, SINK, SOURCE,
                         Quadratic, characteristic_quadratic, classify,
                         euler_step_bound, jacobian_continuous, jacobian_euler,
                         jacobian_mickens, routh_hurwitz_quadratic,
                         schur_cohn_quadratic)
 from .regions import (RegionSpec, check_trajectory, continuous_region,
-                      euler_region, fractional_region, mickens_region)
+                      euler_region, fractional_conservation_bound,
+                      fractional_region, mickens_region)
 from .runner import (CSV_HEADER, DEFAULT_INITIAL, DEFAULT_PARAMS, PRESETS,
                      CompareResult, ConfigError, Scenario, compare,
                      load_scenarios, parse_config, preset_scenarios,

@@ -30,7 +30,6 @@ import numpy as np
 from .model import (FRACTIONAL, ModelParams, State, Trajectory, check_order,
                     grid_steps, rate_field)
 from .schemes import DivergenceError
-from .special import mittag_leffler
 
 
 @dataclass(frozen=True)
@@ -52,46 +51,31 @@ class FractionalConfig:
         return grid_steps(self.h, self.t_end)
 
 
-def _rectangle_kernel(sigma: float, count: int) -> np.ndarray:
-    """d[m] = (m+1)^sigma - m^sigma for m = 0 .. count-1."""
-    out = np.empty(count)
-    if count >= 1:
-        out[0] = 1.0
-    if count >= 2:
-        m = np.arange(1, count, dtype=float)
-        # m^s * ((1 + 1/m)^s - 1), cancellation-free form of the difference
-        out[1:] = m ** sigma * np.expm1(sigma * np.log1p(1.0 / m))
-    return out
+def _pece_weights(sigma: float, kernels: np.ndarray) -> np.ndarray:
+    """Fill kernels, shape (2, count) with count >= 1, and return first.
 
-
-def _trapezoid_kernel(sigma: float, count: int) -> np.ndarray:
-    """c[m] = (m+1)^(s+1) + (m-1)^(s+1) - 2*m^(s+1) for m = 1 .. count.
-
-    Entry 0 is unused (the j = 0 corrector weight has its own formula).
+    At lag k, kernels[0, k] = d[k] = (k+1)^s - k^s weighs a source j >= 1
+    in the predictor and kernels[1, k] = c[k+1] (a_{j,n+1} at n - j = k)
+    in the corrector; first[n] = a_{0,n+1}.  The solve's peak memory
+    includes this build, so it uses its outputs as scratch and keeps at
+    most two temporaries alive.
     """
     s1 = sigma + 1.0
-    out = np.zeros(count + 1)
-    if count >= 1:
-        out[1] = 2.0 ** s1 - 2.0
-    if count >= 2:
-        m = np.arange(2, count + 1, dtype=float)
-        out[2:] = m ** s1 * (np.expm1(s1 * np.log1p(1.0 / m))
-                             + np.expm1(s1 * np.log1p(-1.0 / m)))
-    return out
-
-
-def _first_corrector_weights(sigma: float, count: int) -> np.ndarray:
-    """a[n] = a_{0,n+1} = n^(s+1) - (n - s)*(n+1)^s for n = 0 .. count-1."""
-    out = np.empty(count)
-    if count >= 1:
-        out[0] = sigma
-    if count >= 2:
-        n = np.arange(1, count, dtype=float)
-        # rewrite as (n+1)^s * (s + n*((n/(n+1))^s - 1)) so the subtraction
-        # happens between O(sigma) quantities instead of O(n^(s+1)) ones
-        out[1:] = (n + 1.0) ** sigma * (
-            sigma + n * np.expm1(sigma * np.log1p(-1.0 / (n + 1.0))))
-    return out
+    count = kernels.shape[1]
+    m = np.arange(1, count + 1, dtype=float)
+    first = np.empty(count)
+    d, c = kernels
+    c[:] = np.log1p(1.0 / m)
+    d[1:] = np.expm1(sigma * c[:-1])
+    d[1:] *= m[:-1] ** sigma
+    c[1:] = np.expm1(s1 * c[1:])
+    first[1:] = np.log1p(-1.0 / m[1:])
+    c[1:] += np.expm1(s1 * first[1:])
+    c[1:] *= m[1:] ** s1
+    first[1:] = sigma + m[:-1] * np.expm1(sigma * first[1:])
+    first[1:] *= m[1:] ** sigma
+    d[0], c[0], first[0] = 1.0, 2.0 ** s1 - 2.0, sigma
+    return first
 
 
 # Sources in a step's own aligned block of this many are summed directly.
@@ -100,6 +84,9 @@ def _first_corrector_weights(sigma: float, count: int) -> np.ndarray:
 _NEAR = 128
 
 
+# a diverged member's sources are not finite, from its first field value
+# on; the caller reports its first non-finite state, so numpy need not warn
+@np.errstate(invalid="ignore", over="ignore")
 def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                   corrector_passes: int) -> np.ndarray:
     """Run the predictor-corrector for B two-component members on one grid.
@@ -139,11 +126,9 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     hist = np.empty((n_steps + 1, len(sigmas), 2, 2))
     hist[0, :, 0] = x0s
     for i, (s, f0) in enumerate(zip(sigmas, f0s)):
-        kernels[i, 0] = _rectangle_kernel(s, n_steps)
-        kernels[i, 1] = _trapezoid_kernel(s, n_steps)[1:]
+        first = _pece_weights(s, kernels[i])
         np.multiply.outer(kernels[i, 0], f0, out=hist[1:, i, 0])
-        np.multiply.outer(_first_corrector_weights(s, n_steps), f0,
-                          out=hist[1:, i, 1])
+        np.multiply.outer(first, f0, out=hist[1:, i, 1])
     # the first _NEAR weights of each kernel, newest lag last
     near = np.ascontiguousarray(kernels[:, :, _NEAR - 1::-1])
     fs_by_member = hist[:, :, 1].swapaxes(0, 1)
@@ -175,26 +160,23 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                 # [b, b + size), which gather in rows b + 1 onward
                 size = b & -b
                 rows = min(size, n_steps - b)
-                # a diverged member's sources are not finite; the caller
-                # reports its first non-finite state, so numpy need not warn
-                with np.errstate(invalid="ignore", over="ignore"):
-                    srcs = fft.rfft(fs_by_member[:, b - size:b].swapaxes(1, 2),
-                                    2 * size)
-                    # a size recurs every 2*size steps: its kernel spectra
-                    # are kept until its last block event
-                    specs = spectra.pop(size, None) or (
-                        fft.rfft(kernels[:, k, :2 * size], 2 * size)
-                        for k in range(2))
-                    if b + 2 * size < n_steps:
-                        spectra[size] = specs = list(specs)
-                    # one kernel and one component at a time, which keeps the
-                    # temporaries of the largest blocks small; both factors
-                    # of each product are (B, size + 1) with unit inner stride
-                    for k, spec in enumerate(specs):
-                        for c in range(2):
-                            far = fft.irfft(srcs[:, c] * spec, 2 * size)
-                            pending[k, c, :, b + 1:b + 1 + rows] += \
-                                far[:, size:size + rows]
+                srcs = fft.rfft(fs_by_member[:, b - size:b].swapaxes(1, 2),
+                                2 * size)
+                # a size recurs every 2*size steps: its kernel spectra
+                # are kept until its last block event
+                specs = spectra.pop(size, None) or (
+                    fft.rfft(kernels[:, k, :2 * size], 2 * size)
+                    for k in range(2))
+                if b + 2 * size < n_steps:
+                    spectra[size] = specs = list(specs)
+                # one kernel and one component at a time, which keeps the
+                # temporaries of the largest blocks small; both factors
+                # of each product are (B, size + 1) with unit inner stride
+                for k, spec in enumerate(specs):
+                    for c in range(2):
+                        far = fft.irfft(srcs[:, c] * spec, 2 * size)
+                        pending[k, c, :, b + 1:b + 1 + rows] += \
+                            far[:, size:size + rows]
             # zip ends the last block early; a slice per block raised peak RSS
             for (lag, head, slot), _ in zip(positions, range(b, n_steps)):
                 np.matmul(lag, head, out=sums)
@@ -221,13 +203,6 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     return np.ascontiguousarray(hist[:, :, 0].swapaxes(0, 1))
 
 
-def _finite_field(params: ModelParams):
-    """``rate_field``, or NaN rates where capacity 0 leaves it undefined."""
-    if params.capacity == 0.0:
-        return lambda d, l: (math.nan, math.nan)
-    return rate_field(params)
-
-
 def caputo_solve_batch(runs) -> list:
     """Solve several ``(params, cfg, s0)`` runs at once.
 
@@ -235,29 +210,37 @@ def caputo_solve_batch(runs) -> list:
     the error that call would raise is returned in its place: a
     ValueError for a negative start, a DivergenceError for a history that
     turns non-finite.  So one failing member costs the others nothing.
-    Runs that share h, t_end and corrector_passes advance together.
+    A negative start, a start that is not finite and capacity 0 (where
+    D/capacity has no value) are settled before any solve.  Runs that
+    share h, t_end and corrector_passes advance together.
     """
     runs = list(runs)
     out = [None] * len(runs)
     groups = {}
-    for i, (_, cfg, _) in enumerate(runs):
-        groups.setdefault((cfg.h, cfg.t_end, cfg.corrector_passes), []).append(i)
+    for i, (params, cfg, s0) in enumerate(runs):
+        if s0.d < 0.0 or s0.l < 0.0:
+            out[i] = ValueError("initial state must be non-negative, "
+                                f"got ({s0.d}, {s0.l})")
+        elif not (math.isfinite(s0.d) and math.isfinite(s0.l)):
+            out[i] = DivergenceError.at_step(0, cfg.h)
+        elif params.capacity == 0.0:
+            out[i] = DivergenceError.at_step(1, cfg.h)
+        else:
+            groups.setdefault((cfg.h, cfg.t_end, cfg.corrector_passes),
+                              []).append(i)
     for (h, _, passes), members in groups.items():
         params, cfgs, starts = zip(*(runs[i] for i in members))
         n = cfgs[0].n_steps()
-        xs = _pece_history([_finite_field(p) for p in params],
+        xs = _pece_history([rate_field(p) for p in params],
                            [(s0.d, s0.l) for s0 in starts],
                            [cfg.sigma for cfg in cfgs], h, n, passes)
         finite = np.isfinite(xs).all(axis=2)
         times = np.arange(n + 1, dtype=float) * h
-        for m, (i, s0) in enumerate(zip(members, starts)):
-            if s0.d < 0.0 or s0.l < 0.0:
-                out[i] = ValueError("initial state must be non-negative, "
-                                    f"got ({s0.d}, {s0.l})")
-            elif not finite[m].all():
-                out[i] = DivergenceError.at_step(int(np.argmin(finite[m])), h)
-            else:
+        for m, i in enumerate(members):
+            if finite[m].all():
                 out[i] = Trajectory(times, xs[m], FRACTIONAL, params[m], cfgs[m])
+            else:
+                out[i] = DivergenceError.at_step(int(np.argmin(finite[m])), h)
     return out
 
 
@@ -293,38 +276,3 @@ def scalar_caputo_solve(lambda_coeff: float, sigma: float, y0: float,
     ys = _pece_history([f], [(float(y0), 0.0)], [sigma], h, cfg.n_steps(),
                        corrector_passes)
     return ys[0, :, 0]
-
-
-@dataclass(frozen=True)
-class ConservationBound:
-    """Ceiling on the total population W = D + L for the Caputo system.
-
-    ``bound`` is the flat ceiling W(0) + A/beta; ``envelope`` gives the
-    tighter time-resolved curve through the one-parameter Mittag-Leffler
-    decay factor.
-    """
-
-    w0: float
-    a: float
-    beta: float
-
-    @property
-    def bound(self) -> float:
-        return self.w0 + self.a / self.beta
-
-    def envelope(self, t: float, sigma: float) -> float:
-        """(A/beta)*(1 - E_sigma(-beta*t^sigma)) + W(0)*E_sigma(-beta*t^sigma)."""
-        decay = mittag_leffler(sigma, 1.0, -self.beta * float(t) ** sigma)
-        return self.a / self.beta * (1.0 - decay) + self.w0 * decay
-
-
-def fractional_conservation_bound(params: ModelParams, w0: float,
-                                  m: float) -> ConservationBound:
-    """Conservation data for a run started at total w0 with prey scale m.
-
-    ``m`` is max(D(0), capacity) and A = (alpha + 4*beta)/4 * m.
-    """
-    if params.beta == 0.0:
-        raise ValueError("beta = 0: the bound W(0) + A/beta divides by it")
-    a = (params.alpha + 4.0 * params.beta) / 4.0 * m
-    return ConservationBound(w0=float(w0), a=a, beta=params.beta)

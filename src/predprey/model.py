@@ -101,13 +101,16 @@ class Equilibrium:
 
 
 def grid_steps(h: float, t_end: float) -> int:
-    """Steps of width h covering [0, t_end]; checks h > 0 and t_end >= h."""
+    """Steps of width h covering [0, t_end]; h > 0, t_end >= h, finite t_end/h."""
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
     if not t_end >= h:
         raise ValueError(f"t_end must be at least h, got {t_end!r}")
+    steps = t_end / h
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end/h must be finite, got {t_end!r}/{h!r}")
     # ceil, but tolerant of t_end/h landing a hair above an integer
-    return math.ceil(t_end / h - 1e-9)
+    return math.ceil(steps - 1e-9)
 
 
 def check_order(sigma: float) -> None:

@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fractional import fractional_conservation_bound
 from .model import EULER, FRACTIONAL, MICKENS, REFERENCE, ModelParams, State, Trajectory
 from .schemes import mickens_phi
+from .special import mittag_leffler
 
 # how far below zero a population may sit before it counts as negative
 NEGATIVITY_TOL = 1e-12
@@ -99,10 +99,47 @@ def mickens_region(params: ModelParams, h: float) -> RegionSpec:
     """
     if params.capacity != 1.0:
         raise ValueError("the Mickens W bound is only established for capacity 1")
-    xi = 1.0 + params.alpha * mickens_phi(params, h)
-    w_bound = (4.0 * params.alpha ** 2 + xi * params.beta ** 2) \
-        / _divisor(4.0 * params.alpha * params.beta, "alpha*beta")
+    try:
+        xi = 1.0 + params.alpha * mickens_phi(params, h)
+        w_bound = (4.0 * params.alpha ** 2 + xi * params.beta ** 2) \
+            / _divisor(4.0 * params.alpha * params.beta, "alpha*beta")
+    except OverflowError:
+        raise ValueError("the Mickens W bound overflows") from None
     return RegionSpec(MICKENS, w_bound, d_bound=1.0)
+
+
+@dataclass(frozen=True)
+class ConservationBound:
+    """Ceiling on the total population W = D + L for the Caputo system.
+
+    ``bound`` is the flat ceiling W(0) + A/beta; ``envelope`` gives the
+    tighter time-resolved curve through the one-parameter Mittag-Leffler
+    decay factor.
+    """
+
+    w0: float
+    a: float
+    beta: float
+
+    @property
+    def bound(self) -> float:
+        return self.w0 + self.a / self.beta
+
+    def envelope(self, t: float, sigma: float) -> float:
+        """(A/beta)*(1 - E_sigma(-beta*t^sigma)) + W(0)*E_sigma(-beta*t^sigma)."""
+        decay = mittag_leffler(sigma, 1.0, -self.beta * float(t) ** sigma)
+        return self.a / self.beta * (1.0 - decay) + self.w0 * decay
+
+
+def fractional_conservation_bound(params: ModelParams, w0: float,
+                                  m: float) -> ConservationBound:
+    """Conservation data for a run started at total w0 with prey scale m.
+
+    ``m`` is max(D(0), capacity) and A = (alpha + 4*beta)/4 * m.
+    """
+    beta = _divisor(params.beta, "beta")
+    a = (params.alpha + 4.0 * beta) / 4.0 * m
+    return ConservationBound(w0=float(w0), a=a, beta=beta)
 
 
 def fractional_region(params: ModelParams, s0: State) -> RegionSpec:
@@ -124,7 +161,9 @@ def check_trajectory(traj: Trajectory, region: RegionSpec) -> ViolationReport:
             f"{traj.scheme!r} trajectory")
     d = traj.states[:, 0]
     l = traj.states[:, 1]
-    w = d + l
+    # a diverged run may add inf to -inf; its NaN total fails no probe
+    with np.errstate(invalid="ignore"):
+        w = d + l
 
     probes = [
         ("D >= 0", d, -NEGATIVITY_TOL, "below"),

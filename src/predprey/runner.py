@@ -60,6 +60,9 @@ class Scenario:
                              "file stem (no /, \\ or ', not empty, . or ..)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name, value in (("d0", self.initial.d), ("l0", self.initial.l)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         bad = [o for o in self.outputs if o not in OUTPUT_KINDS]
         if bad:
             raise ValueError(f"unknown outputs {bad!r}; expected {OUTPUT_KINDS}")

@@ -190,9 +190,10 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     outside (0, 1] raises ValueError.  Criterion
     degeneracies come back as ``non-hyperbolic`` or ``out-of-criterion``
     classifications rather than exceptions; so do points whose Jacobian
-    is undefined (capacity 0, where D/capacity has no value), overflows or
-    divides by zero (extreme unvalidated parameters).  A point that does
-    not exist gives the reason from :func:`equilibria` in every case.
+    is undefined (capacity 0, where D/capacity has no value), overflows,
+    divides by zero or gives a criterion value that is not finite (extreme
+    unvalidated parameters).  A point that does not exist gives the
+    reason from :func:`equilibria` in every case.
     """
     if scheme not in (REFERENCE, EULER, MICKENS, FRACTIONAL):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -216,12 +217,24 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
             reason = "capacity = 0: the Jacobian divides by the capacity"
         else:
             try:
-                if scheme == EULER:
-                    jac = jacobian_euler(params, h, eq.point)
-                elif scheme == MICKENS:
-                    jac = jacobian_mickens(params, h, eq.point)
+                # numpy products overflow to inf, and meet inf as nan,
+                # without raising; a criterion built on them is no verdict
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if scheme == EULER:
+                        jac = jacobian_euler(params, h, eq.point)
+                    elif scheme == MICKENS:
+                        jac = jacobian_mickens(params, h, eq.point)
+                    else:
+                        jac = jacobian_continuous(params, eq.point)
+                    poly = characteristic_quadratic(jac)
+                if discrete:
+                    sc = schur_cohn_quadratic(poly)
+                    details = {"P(1)": sc.at_one, "P(-1)": sc.at_minus_one,
+                               "P(0)": sc.at_zero}
                 else:
-                    jac = jacobian_continuous(params, eq.point)
+                    details = {"c1": poly.c1, "c0": poly.c0}
+                if not np.isfinite([*jac.flat, *details.values()]).all():
+                    raise OverflowError
             except OverflowError:
                 reason = f"the {scheme} Jacobian overflows at this point"
             except ZeroDivisionError:
@@ -235,17 +248,9 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
                 criterion_details={"reason": reason}))
             continue
 
-        poly = characteristic_quadratic(jac)
         eig = _eigenvalues(jac, poly)
-
-        if discrete:
-            sc = schur_cohn_quadratic(poly)
-            details = {"P(1)": sc.at_one, "P(-1)": sc.at_minus_one,
-                       "P(0)": sc.at_zero}
-            label = _classify_unit_circle(sc)
-        else:
-            details = {"c1": poly.c1, "c0": poly.c0}
-            label = _classify_halfplane(poly)
+        label = (_classify_unit_circle(sc) if discrete
+                 else _classify_halfplane(poly))
         if scheme == FRACTIONAL and h_or_sigma is not None:
             details["sigma"] = float(h_or_sigma)
         if not eq.exists:

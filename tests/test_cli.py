@@ -1,17 +1,24 @@
 """Command line behavior: subcommands, artifacts, and exit codes."""
+import contextlib
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import predprey
-from predprey import (EULER, PRESETS, Scenario, State, load_scenarios,
-                      preset_scenarios, runner, solve_scenario,
-                      trajectory_to_csv)
+from predprey import (EULER, PRESETS, SCHEMES, Scenario, State,
+                      StepSizeWarning, load_scenarios, preset_scenarios,
+                      runner, solve_scenario, trajectory_to_csv)
 from predprey.cli import _scenarios_for, build_parser, main
 
 
@@ -203,6 +210,97 @@ def test_bad_scenario_in_a_batch_writes_nothing(tmp_path, capsys, case):
     assert list(out.iterdir()) == []
 
 
+# values that break arithmetic: zero, signed zero, unit, huge, subnormal,
+# nan and infinities; each flag also draws values it accepts
+_EXTREME = ("0", "-0.0", "1", "-1", "1e308", "-1e308", "1e-320", "5e-324",
+            "nan", "inf", "-inf")
+_VALID = {"alpha": ("0.05", "0.2"), "beta": ("0.3", "0.5"), "p": ("0.4", "0.9"),
+          "capacity": ("1", "2"), "d0": ("0.2", "0.85"), "l0": ("0.3", "0.1"),
+          "h": ("0.25", "1"), "t-end": ("5", "50"), "sigma": ("0.5", "0.95")}
+# grids longer than this are real but slow, and are not drawn
+_MAX_STEPS = 3000
+
+
+@st.composite
+def _cli_calls(draw):
+    """argv for stability, simulate, verify or sweep, as --flag=value."""
+    command = draw(st.sampled_from(("stability", "simulate", "verify", "sweep")))
+    names = draw(st.lists(st.sampled_from(sorted(_VALID)), unique=True,
+                          max_size=4))
+    flags = {n: draw(st.sampled_from(_EXTREME + _VALID[n])) for n in names}
+    argv = [command, *(f"--{n}={v}" for n, v in flags.items())]
+    scheme = draw(st.sampled_from((None, *SCHEMES)))
+    if scheme:
+        argv.append(f"--scheme={scheme}")
+    steps = [flags.get("h", "0.25")]
+    if command == "sweep":
+        param = draw(st.sampled_from(("sigma", "h")))
+        values = draw(st.lists(st.sampled_from(_EXTREME + _VALID[param]),
+                               min_size=1, max_size=2))
+        argv += [f"--param={param}", f"--values={','.join(values)}"]
+        if param == "h":
+            steps = values
+    elif command != "stability" and draw(st.booleans()):
+        argv.append("--strict")
+    if command != "stability":
+        t_end = float(flags.get("t-end", "300"))
+        for h in map(float, steps):
+            # a zero, negative or non-finite ratio fails before any solve
+            assume(h == 0.0 or not _MAX_STEPS < t_end / h < math.inf)
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_cli_calls())
+@example(argv=["simulate", "--t-end=inf"])
+@example(argv=["simulate", "--h=1e-320"])
+@example(argv=["sweep", "--param=h", "--values=5e-324"])
+@example(argv=["verify", "--scheme=mickens", "--beta=-1e308"])
+@example(argv=["simulate", "--scheme=mickens", "--alpha=1e308", "--strict"])
+@example(argv=["verify", "--scheme=mickens", "--d0=nan", "--strict"])
+@example(argv=["simulate", "--scheme=euler", "--l0=inf"])
+@example(argv=["stability", "--p=1e308", "--capacity=1e308"])
+@example(argv=["stability", "--p=1e9", "--beta=1e308"])
+@example(argv=["verify", "--scheme=euler", "--beta=-1"])
+@example(argv=["sweep", "--l0=1e-9", "--alpha=1e9", "--param=sigma",
+               "--values=1e-320,0.3"])
+def test_every_call_keeps_the_contract(argv):
+    # exit 0, or exit 1 or 2 with one error: line (under --strict, exit 1
+    # may print violation: lines instead); no traceback, no warning but
+    # StepSizeWarning, nothing written on exit 2, and every CSV written
+    # starts from a finite state
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if argv[0] != "stability":
+            argv = [*argv, f"--output={out}"]
+        err = io.StringIO()
+        # numpy's default error state: underflow alone is silent
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(all="warn", under="ignore"), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [w.message for w in caught
+                if w.category is not StepSizeWarning] == []
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        elif code == 1 and "--strict" in argv and not any(
+                line.startswith("error:") for line in lines):
+            # verify prints its violations to stdout, simulate to stderr
+            assert all(line.startswith("violation:") for line in lines)
+        else:
+            assert code in (1, 2)
+            assert len(lines) == 1 and lines[0].startswith("error:")
+        written = sorted(out.iterdir()) if out.exists() else []
+        if code == 2:
+            assert written == []
+        for csv in (p for p in written if p.suffix == ".csv"):
+            start = csv.read_text().split("\n")[1]
+            assert all(map(math.isfinite, map(float, start.split(","))))
+
+
 class TestStability:
     def test_table_printed(self, capsys):
         assert run_cli("stability") == 0
@@ -233,10 +331,17 @@ class TestStability:
         # E3 = (-2500, 312.625) does not exist, whatever its Jacobian does
         (("--scheme", "mickens", "--beta", -1000, "--h", 1),
          "negative coordinate: outside D, L >= 0", ("E3",)),
+        # -p*D at E2 is -inf: no criterion value is finite
+        (("--p", 1e308, "--capacity", 1e308),
+         "the reference Jacobian overflows", ("E2",)),
+        # c0 at E3 overflows, and E3 does not exist anyway
+        (("--p", 1e9, "--beta", 1e308), "beta >= p*capacity", ("E3",)),
     ])
     def test_extreme_parameters_are_out_of_criterion(self, capsys, flags,
                                                      reason, labels):
-        assert run_cli("stability", *flags) == 0
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            assert run_cli("stability", *flags) == 0
         rows = {row[:2]: row for row in capsys.readouterr().out.splitlines()[1:]}
         for label in labels:
             assert f"out-of-criterion [reason={reason}" in rows[label]

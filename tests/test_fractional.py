@@ -27,11 +27,8 @@ from predprey import (
     mittag_leffler,
     scalar_caputo_solve,
 )
-from predprey.fractional import (
-    _first_corrector_weights,
-    _rectangle_kernel,
-    _trapezoid_kernel,
-)
+from predprey import fractional
+from predprey.fractional import _pece_weights
 from predprey.model import rates
 from predprey.schemes import reference_solve
 
@@ -50,6 +47,12 @@ ML_AT_M1 = {0.5: 0.42758357615580700, 0.8: 0.38694857861897685,
             0.95: ML_095_AT_M1, 1.0: 0.36787944117144232}
 
 
+def _weights(sigma, count):
+    """The solver's (kernels, first) of a run of ``count`` steps."""
+    kernels = np.empty((2, count))
+    return kernels, _pece_weights(sigma, kernels)
+
+
 def _direct_pece_history(f, x0, sigma, h, n_steps, corrector_passes):
     """The solver's earlier full-memory loop, kept as the test oracle.
 
@@ -64,8 +67,7 @@ def _direct_pece_history(f, x0, sigma, h, n_steps, corrector_passes):
 
     scale_p = h ** sigma / math.gamma(sigma + 1.0)
     scale_c = h ** sigma / math.gamma(sigma + 2.0)
-    d = _rectangle_kernel(sigma, n_steps)
-    c = _trapezoid_kernel(sigma, max(0, n_steps - 1))
+    (d, c), _ = _weights(sigma, n_steps)     # c[k] holds c_{k+1}
 
     xs = np.empty((n_steps + 1, x0.size))
     fs = np.empty_like(xs)
@@ -75,7 +77,7 @@ def _direct_pece_history(f, x0, sigma, h, n_steps, corrector_passes):
         xp = x0 + scale_p * (d[:n + 1][::-1] @ fs[:n + 1])
         hist = first_corrector_weight(n) * fs[0]
         if n >= 1:
-            hist = hist + c[1:n + 1][::-1] @ fs[1:n + 1]
+            hist = hist + c[:n][::-1] @ fs[1:n + 1]
         x1 = x0 + scale_c * (hist + f(xp))
         for _ in range(corrector_passes - 1):
             x1 = x0 + scale_c * (hist + f(x1))
@@ -137,6 +139,7 @@ class TestFractionalConfig:
         dict(sigma=0.95, h=0.0, t_end=1.0),
         dict(sigma=0.95, h=0.1, t_end=0.05),
         dict(sigma=0.95, h=0.1, t_end=1.0, corrector_passes=0),
+        dict(sigma=0.95, h=0.25, t_end=math.inf),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -155,48 +158,63 @@ class TestFractionalConfig:
         assert FractionalConfig(sigma=0.95, h=0.25, t_end=300.0).n_steps() == 1200
 
 
+def _rectangle(sigma, count):
+    """d[0 .. count-1]."""
+    return _weights(sigma, count)[0][0]
+
+
+def _trapezoid(sigma, count):
+    """c[m] at index m for m = 1 .. count; entry 0 is unused."""
+    return np.concatenate([[np.nan], _weights(sigma, count)[0][1]])
+
+
+def _first_weights(sigma, count):
+    """a_{0,n+1} at index n for n = 0 .. count-1."""
+    return _weights(sigma, count)[1]
+
+
 class TestKernels:
     def test_rectangle_starts_at_one(self):
-        d = _rectangle_kernel(0.95, 5)
+        d = _rectangle(0.95, 5)
         assert d[0] == 1.0
 
     def test_rectangle_decreasing_positive(self):
-        d = _rectangle_kernel(0.95, 500)
+        d = _rectangle(0.95, 500)
         assert (d > 0.0).all()
         assert (np.diff(d) < 0.0).all()
 
     def test_rectangle_against_naive_form(self):
         m = np.arange(1.0, 50.0)
         naive = (m + 1.0) ** 0.95 - m ** 0.95
-        np.testing.assert_allclose(_rectangle_kernel(0.95, 50)[1:], naive,
+        np.testing.assert_allclose(_rectangle(0.95, 50)[1:], naive,
                                    rtol=1e-12)
 
     def test_trapezoid_frozen_values(self):
-        c = _trapezoid_kernel(0.95, 1000)
+        c = _trapezoid(0.95, 1000)
         for m, expected in KERNEL_095.items():
             assert c[m] == pytest.approx(expected, rel=1e-13)
 
     def test_trapezoid_decreasing_positive(self):
-        c = _trapezoid_kernel(0.95, 500)
+        c = _trapezoid(0.95, 500)
         assert (c[1:] > 0.0).all()
         assert (np.diff(c[1:]) < 0.0).all()
 
     def test_first_weight_frozen_values(self):
-        a = _first_corrector_weights(0.95, 1001)
+        a = _first_weights(0.95, 1001)
         for n, expected in FIRST_WEIGHT_095.items():
             assert a[n] == pytest.approx(expected, rel=1e-12)
 
     def test_classic_trapezoid_at_order_one(self):
-        np.testing.assert_allclose(_rectangle_kernel(1.0, 6), np.ones(6))
-        np.testing.assert_allclose(_trapezoid_kernel(1.0, 5)[1:], np.full(5, 2.0))
-        np.testing.assert_allclose(_first_corrector_weights(1.0, 6)[5], 1.0)
+        np.testing.assert_allclose(_rectangle(1.0, 6), np.ones(6))
+        np.testing.assert_allclose(_trapezoid(1.0, 5)[1:], np.full(5, 2.0))
+        np.testing.assert_allclose(_first_weights(1.0, 6)[5], 1.0)
 
     def test_kernels_positive(self):
         # every weight of the step ending at index n + 1 = 8
-        assert _rectangle_kernel(0.95, 8)[0] == 1.0     # newest sample's weight
-        assert (_rectangle_kernel(0.95, 8) > 0.0).all()
-        assert (_trapezoid_kernel(0.95, 7)[1:] > 0.0).all()
-        assert _first_corrector_weights(0.95, 8)[7] > 0.0
+        assert _rectangle(0.95, 8)[0] == 1.0     # newest sample's weight
+        assert (_rectangle(0.95, 8) > 0.0).all()
+        assert (_trapezoid(0.95, 7)[1:] > 0.0).all()
+        assert _first_weights(0.95, 8)[7] > 0.0
 
 
 class TestScalarSolver:
@@ -342,6 +360,32 @@ class TestBatch:
         bad, good = caputo_solve_batch(runs)
         assert isinstance(bad, ValueError) and "non-negative" in str(bad)
         assert np.array_equal(good.states, caputo_solve(*runs[1]).states)
+
+    def test_members_that_cannot_run_never_reach_the_core(self, params, s0,
+                                                          monkeypatch):
+        # a negative start outranks a start that is not finite, which
+        # outranks capacity 0; only the last member is solved
+        starts = []
+
+        def core(fields, x0s, *rest, real=fractional._pece_history):
+            starts.extend(x0s)
+            return real(fields, x0s, *rest)
+
+        monkeypatch.setattr(fractional, "_pece_history", core)
+        zero = ModelParams.unchecked(0.05, 0.3, 0.4, 0.0)
+        cfg = FractionalConfig(sigma=0.9, h=0.25, t_end=10.0)
+        negative = State(-0.1, 0.3)
+        runs = [(params, cfg, negative), (zero, cfg, negative),
+                (zero, cfg, State(math.nan, 0.3)), (zero, cfg, s0),
+                (params, cfg, s0)]
+        neg, both, nan, cap0, good = caputo_solve_batch(runs)
+        assert starts == [(s0.d, s0.l)]
+        assert isinstance(neg, ValueError) and "non-negative" in str(neg)
+        assert isinstance(both, ValueError) and "non-negative" in str(both)
+        assert isinstance(nan, DivergenceError) and nan.step == 0
+        assert isinstance(cap0, DivergenceError)
+        assert cap0.step == 1 and cap0.time == 0.25
+        assert np.array_equal(good.states, caputo_solve(*runs[4]).states)
 
     @pytest.mark.parametrize("other", [dict(h=0.5), dict(t_end=50.0),
                                        dict(corrector_passes=2)])

@@ -126,6 +126,15 @@ class TestZeroDivisors:
             build(params)
 
 
+@pytest.mark.parametrize("fields", [{"beta": -1e308}, {"alpha": 1e308}])
+def test_overflowing_mickens_bound_is_a_value_error(fields):
+    # phi's expm1 overflows at beta*h = -2.5e307, alpha**2 at alpha = 1e308
+    rates = {"alpha": 0.05, "beta": 0.3, "p": 0.4, "capacity": 1.0}
+    params = ModelParams.unchecked(**{**rates, **fields})
+    with pytest.raises(ValueError, match="^the Mickens W bound overflows$"):
+        mickens_region(params, 0.25)
+
+
 class TestRegionSpecValidation:
     def test_rejects_non_positive_bound(self):
         with pytest.raises(ValueError):

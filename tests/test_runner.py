@@ -74,6 +74,13 @@ class TestScenario:
         with pytest.raises(ValueError, match="unknown outputs"):
             Scenario(name="x", outputs=("timeseries", "pdf"))
 
+    @pytest.mark.parametrize("initial,name", [
+        (State(math.nan, 0.3), "d0"), (State(0.2, math.inf), "l0"),
+        (State(-math.inf, 0.3), "d0")])
+    def test_non_finite_start_rejected(self, initial, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            Scenario(name="x", initial=initial)
+
 
 class TestSolveScenario:
     def test_dispatches_by_scheme(self, params):
@@ -513,6 +520,12 @@ class TestLoadScenarios:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[a]\nh = fast\n")
         with pytest.raises(ConfigError, match=r"bad\.cfg:2: h must be a number"):
+            load_scenarios(cfg)
+
+    def test_non_finite_start_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[a]\nd0 = nan\n")
+        with pytest.raises(ConfigError, match="d0 must be finite, got nan"):
             load_scenarios(cfg)
 
     def test_bad_scheme_wrapped_as_config_error(self, tmp_path):

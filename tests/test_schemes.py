@@ -4,6 +4,7 @@ Flow reference values are frozen from a 40-digit adaptive Taylor
 integration of the vector field (see ``tests/oracles.py``).
 """
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -83,6 +84,9 @@ class TestSchemeConfig:
         dict(h=-0.1, t_end=1.0),
         dict(h=0.1, t_end=0.0),
         dict(h=0.1, t_end=1.0, scheme="cranknicolson"),
+        # t_end/h is not finite: no step count
+        dict(h=0.25, t_end=math.inf),
+        dict(h=1e-320, t_end=300.0),
     ])
     def test_invalid_configs(self, kw):
         with pytest.raises(ValueError):
