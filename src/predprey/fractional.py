@@ -51,31 +51,20 @@ class FractionalConfig:
         return grid_steps(self.h, self.t_end)
 
 
-def _pece_weights(sigma: float, kernels: np.ndarray) -> np.ndarray:
-    """Fill kernels, shape (2, count) with count >= 1, and return first.
-
-    At lag k, kernels[0, k] = d[k] = (k+1)^s - k^s weighs a source j >= 1
-    in the predictor and kernels[1, k] = c[k+1] (a_{j,n+1} at n - j = k)
-    in the corrector; first[n] = a_{0,n+1}.  The solve's peak memory
-    includes this build, so it uses its outputs as scratch and keeps at
-    most two temporaries alive.
-    """
+def _pece_weights(sigma: float, count: int):
+    """(d, c, first) of length count >= 1: at lag k, d[k] = (k+1)^s - k^s
+    weighs a source j >= 1 in the predictor and c[k] = c_{k+1} (a_{j,n+1}
+    at n - j = k) in the corrector; first[n] = a_{0,n+1}."""
     s1 = sigma + 1.0
-    count = kernels.shape[1]
     m = np.arange(1, count + 1, dtype=float)
-    first = np.empty(count)
-    d, c = kernels
-    c[:] = np.log1p(1.0 / m)
-    d[1:] = np.expm1(sigma * c[:-1])
-    d[1:] *= m[:-1] ** sigma
-    c[1:] = np.expm1(s1 * c[1:])
-    first[1:] = np.log1p(-1.0 / m[1:])
-    c[1:] += np.expm1(s1 * first[1:])
-    c[1:] *= m[1:] ** s1
-    first[1:] = sigma + m[:-1] * np.expm1(sigma * first[1:])
-    first[1:] *= m[1:] ** sigma
+    up = np.log1p(1.0 / m)          # log((m+1)/m)
+    down = np.log1p(-1.0 / m[1:])   # log((m-1)/m) for m >= 2
+    d, c, first = np.empty((3, count))
     d[0], c[0], first[0] = 1.0, 2.0 ** s1 - 2.0, sigma
-    return first
+    d[1:] = m[:-1] ** sigma * np.expm1(sigma * up[:-1])
+    c[1:] = m[1:] ** s1 * (np.expm1(s1 * up[1:]) + np.expm1(s1 * down))
+    first[1:] = m[1:] ** sigma * (sigma + m[:-1] * np.expm1(sigma * down))
+    return d, c, first
 
 
 # Sources in a step's own aligned block of this many are summed directly.
@@ -119,16 +108,18 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     members = [(f, d0, l0, h ** s / math.gamma(s + 1.0),
                 h ** s / math.gamma(s + 2.0))
                for f, (d0, l0), s in zip(fields, x0s, sigmas)]
-    f0s = [f(*x0) for f, x0 in zip(fields, x0s)]
-    # lag-k weight of a source j >= 1: d[k] in the predictor, c[k+1] in
-    # the corrector
+    f0s = np.array([f(*x0) for f, x0 in zip(fields, x0s)])
+    # lag-k weight of a source j >= 1: d[k] in the predictor, c[k] = c_{k+1}
+    # in the corrector; built first, so the build's temporaries are gone
+    # before the history is allocated
     kernels = np.empty((len(sigmas), 2, n_steps))
+    firsts = np.empty((len(sigmas), n_steps))
+    for i, s in enumerate(sigmas):
+        kernels[i, 0], kernels[i, 1], firsts[i] = _pece_weights(s, n_steps)
     hist = np.empty((n_steps + 1, len(sigmas), 2, 2))
     hist[0, :, 0] = x0s
-    for i, (s, f0) in enumerate(zip(sigmas, f0s)):
-        first = _pece_weights(s, kernels[i])
-        np.multiply.outer(kernels[i, 0], f0, out=hist[1:, i, 0])
-        np.multiply.outer(first, f0, out=hist[1:, i, 1])
+    np.multiply(kernels[:, 0].T[:, :, None], f0s, out=hist[1:, :, 0])
+    np.multiply(firsts.T[:, :, None], f0s, out=hist[1:, :, 1])
     # the first _NEAR weights of each kernel, newest lag last
     near = np.ascontiguousarray(kernels[:, :, _NEAR - 1::-1])
     fs_by_member = hist[:, :, 1].swapaxes(0, 1)
@@ -162,23 +153,20 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                 rows = min(size, n_steps - b)
                 srcs = fft.rfft(fs_by_member[:, b - size:b].swapaxes(1, 2),
                                 2 * size)
-                # a size recurs every 2*size steps: its kernel spectra
-                # are kept until its last block event
-                specs = spectra.pop(size, None) or (
-                    fft.rfft(kernels[:, k, :2 * size], 2 * size)
-                    for k in range(2))
+                # one transform gives both kernel spectra of a size, kept
+                # while the size recurs (every 2*size steps)
+                spec = (spectra.pop(size) if size in spectra else
+                        fft.rfft(kernels[:, :, :2 * size], 2 * size))
                 if b + 2 * size < n_steps:
-                    spectra[size] = specs = list(specs)
-                # one kernel and one component at a time, which keeps the
-                # temporaries of the largest blocks small; both factors
-                # of each product are (B, size + 1) with unit inner stride
-                for k, spec in enumerate(specs):
+                    spectra[size] = spec
+                # both factors of each product are (B, size + 1) with unit
+                # inner stride
+                for k in range(2):
                     for c in range(2):
-                        far = fft.irfft(srcs[:, c] * spec, 2 * size)
+                        far = fft.irfft(srcs[:, c] * spec[:, k], 2 * size)
                         pending[k, c, :, b + 1:b + 1 + rows] += \
                             far[:, size:size + rows]
-            # zip ends the last block early; a slice per block raised peak RSS
-            for (lag, head, slot), _ in zip(positions, range(b, n_steps)):
+            for lag, head, slot in positions[:n_steps - b]:
                 np.matmul(lag, head, out=sums)
                 q = 0
                 for f, d0, l0, scale_p, scale_c in members:

@@ -122,6 +122,14 @@ def write_artifact(path, text: str) -> Path:
     return path
 
 
+def _read_utf8(path: Path, error=ValueError) -> str:
+    """The text of ``path`` decoded as UTF-8; bad bytes raise ``error``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 # {{{ CSV round trip
 
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
@@ -137,7 +145,7 @@ def trajectory_from_csv(path) -> Trajectory:
     Blank lines are skipped.  Every error names the file.
     """
     path = Path(path)
-    lines = list(filter(None, path.read_text().split("\n")))
+    lines = list(filter(None, _read_utf8(path).split("\n")))
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
     commas = [line.count(",") for line in lines]
@@ -492,7 +500,7 @@ def _scenario_from_section(name, mapping, source, overrides=None):
 def load_scenarios(path, overrides=None):
     """Scenarios from a config file, with optional flag overrides applied."""
     path = Path(path)
-    sections = parse_config(path.read_text(), source=str(path))
+    sections = parse_config(_read_utf8(path, ConfigError), source=str(path))
     return [_scenario_from_section(name, mapping, str(path), overrides)
             for name, mapping in sections]
 

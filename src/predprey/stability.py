@@ -169,8 +169,10 @@ def _classify_halfplane(poly: Quadratic) -> str:
     return SINK if c1 > 0.0 else SOURCE
 
 
-def _classify_unit_circle(sc: SchurCohnResult) -> str:
-    if (abs(sc.at_one) < BOUNDARY_TOL or abs(sc.at_minus_one) < BOUNDARY_TOL
+def _classify_unit_circle(sc: SchurCohnResult, phi: float) -> str:
+    # P(1) is phi^2 * c0 to leading order (phi: Euler's h, Mickens' phi(h))
+    if (abs(sc.at_one) < BOUNDARY_TOL * phi * phi
+            or abs(sc.at_minus_one) < BOUNDARY_TOL
             or abs(abs(sc.at_zero) - 1.0) < BOUNDARY_TOL):
         return NON_HYPERBOLIC
     crossings = (sc.at_one < 0.0) + (sc.at_minus_one < 0.0)
@@ -229,6 +231,7 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
                     poly = characteristic_quadratic(jac)
                 if discrete:
                     sc = schur_cohn_quadratic(poly)
+                    phi = h if scheme == EULER else mickens_phi(params, h)
                     details = {"P(1)": sc.at_one, "P(-1)": sc.at_minus_one,
                                "P(0)": sc.at_zero}
                 else:
@@ -249,7 +252,7 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
             continue
 
         eig = _eigenvalues(jac, poly)
-        label = (_classify_unit_circle(sc) if discrete
+        label = (_classify_unit_circle(sc, phi) if discrete
                  else _classify_halfplane(poly))
         if scheme == FRACTIONAL and h_or_sigma is not None:
             details["sigma"] = float(h_or_sigma)

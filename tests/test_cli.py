@@ -111,6 +111,17 @@ class TestSimulate:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[a]\nt_end = 5\xff\n")
+        with pytest.raises(predprey.ConfigError, match="bad.cfg: 'utf-8'"):
+            load_scenarios(cfg)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", cfg, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     @pytest.mark.parametrize("name", ["../escaped", "it's", "a\\b", ".."])
     def test_unsafe_section_name_exits_two(self, tmp_path, capsys, name):
         cfg = tmp_path / "r.cfg"
@@ -501,6 +512,16 @@ class TestCompare:
         bad = tmp_path / "bad.csv"
         bad.write_text("time,prey,predator\n0,1,2\n")
         assert run_cli("compare", a, bad) == 2
+
+    def test_undecodable_csv_names_the_file(self, tmp_path, capsys):
+        # artifacts are written as UTF-8, so they are read back as UTF-8
+        a = self.make_csv(tmp_path, "a")
+        bad = tmp_path / "bin.csv"
+        bad.write_bytes(b"\xff\xfet,D,L\n")
+        assert run_cli("compare", a, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
 
 
 class TestSweep:

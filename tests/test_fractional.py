@@ -47,12 +47,6 @@ ML_AT_M1 = {0.5: 0.42758357615580700, 0.8: 0.38694857861897685,
             0.95: ML_095_AT_M1, 1.0: 0.36787944117144232}
 
 
-def _weights(sigma, count):
-    """The solver's (kernels, first) of a run of ``count`` steps."""
-    kernels = np.empty((2, count))
-    return kernels, _pece_weights(sigma, kernels)
-
-
 def _direct_pece_history(f, x0, sigma, h, n_steps, corrector_passes):
     """The solver's earlier full-memory loop, kept as the test oracle.
 
@@ -67,7 +61,7 @@ def _direct_pece_history(f, x0, sigma, h, n_steps, corrector_passes):
 
     scale_p = h ** sigma / math.gamma(sigma + 1.0)
     scale_c = h ** sigma / math.gamma(sigma + 2.0)
-    (d, c), _ = _weights(sigma, n_steps)     # c[k] holds c_{k+1}
+    d, c, _ = _pece_weights(sigma, n_steps)     # c[k] holds c_{k+1}
 
     xs = np.empty((n_steps + 1, x0.size))
     fs = np.empty_like(xs)
@@ -160,17 +154,17 @@ class TestFractionalConfig:
 
 def _rectangle(sigma, count):
     """d[0 .. count-1]."""
-    return _weights(sigma, count)[0][0]
+    return _pece_weights(sigma, count)[0]
 
 
 def _trapezoid(sigma, count):
     """c[m] at index m for m = 1 .. count; entry 0 is unused."""
-    return np.concatenate([[np.nan], _weights(sigma, count)[0][1]])
+    return np.concatenate([[np.nan], _pece_weights(sigma, count)[1]])
 
 
 def _first_weights(sigma, count):
     """a_{0,n+1} at index n for n = 0 .. count-1."""
-    return _weights(sigma, count)[1]
+    return _pece_weights(sigma, count)[2]
 
 
 class TestKernels:
@@ -414,11 +408,13 @@ def _digest(states):
 
 # (sigma, h, t_end, final d and l as float.hex, sha256 prefix of the states'
 # bytes) for DEFAULT_PARAMS from DEFAULT_INITIAL.  n = 4000 meets FFT blocks
-# of 128 to 2048, most sizes more than once; n = 1024 and 1536 end on a
-# block edge.
+# of 128 to 2048, most sizes more than once; n = 12 000 also meets 4096 and
+# 8192; n = 1024 and 1536 end on a block edge.
 FROZEN_CAPUTO = [
     (0.9, 0.025, 100.0, "0x1.6e085abaea28cp-1", "0x1.b5a2af3ca5ae0p-7",
      "f4ade6cdc80461df"),
+    (0.9, 0.025, 300.0, "0x1.79d9db67cbf04p-1", "0x1.ff263492b1490p-6",
+     "a026d880c21bb2c4"),
     (0.95, 0.25, 256.0, "0x1.7ee885ce986fep-1", "0x1.010d1037f2180p-5",
      "9250f53c46b62e4a"),
     (0.8, 0.25, 384.0, "0x1.6c58d247f0d18p-1", "0x1.fd241ef3d6410p-6",

@@ -355,6 +355,18 @@ def test_mickens_labels_match_the_flow(params, h):
             == [r.classification for r in classify(params, REFERENCE)])
 
 
+@pytest.mark.parametrize("scheme", [EULER, MICKENS])
+def test_slow_sink_is_not_read_as_a_boundary(scheme):
+    """With slow rates P(1) = phi^2 * c0 is below 1e-9 (6.25e-10 here)
+    although the flow's c0 = 6.25e-8 is well clear of its boundary."""
+    params = ModelParams(0.00025, 0.0005, 0.001, 1.0)
+    e3 = classify(params, scheme, 0.1)[-1]
+    assert abs(e3.criterion_details["P(1)"]) < 1e-9
+    assert e3.classification == SINK
+    assert ([r.classification for r in classify(params, scheme, 0.1)]
+            == [r.classification for r in classify(params, REFERENCE)])
+
+
 # c2 in +-[1e-3, 1e3]; c1 and c0 in [-1e6, 1e6], often near the unit circle
 leading = st.tuples(st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0])).map(
     lambda pair: pair[0] * pair[1])
