@@ -172,14 +172,17 @@ def _classify_halfplane(poly: Quadratic) -> str:
 def _classify_unit_circle(sc: SchurCohnResult, phi: float) -> str:
     # P(1) is phi^2 * c0 to leading order (phi: Euler's h, Mickens' phi(h))
     if (abs(sc.at_one) < BOUNDARY_TOL * phi * phi
-            or abs(sc.at_minus_one) < BOUNDARY_TOL
-            or abs(abs(sc.at_zero) - 1.0) < BOUNDARY_TOL):
+            or abs(sc.at_minus_one) < BOUNDARY_TOL):
         return NON_HYPERBOLIC
     crossings = (sc.at_one < 0.0) + (sc.at_minus_one < 0.0)
     if crossings == 1:
         return SADDLE
     if crossings == 2:
         return SOURCE
+    # only with P(1) > 0 and P(-1) > 0 does |P(0)| = 1 put the roots on
+    # the circle (a complex pair); a saddle's real roots can multiply to 1
+    if abs(abs(sc.at_zero) - 1.0) < BOUNDARY_TOL:
+        return NON_HYPERBOLIC
     return SINK if abs(sc.at_zero) < 1.0 else SOURCE
 
 

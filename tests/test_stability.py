@@ -348,6 +348,9 @@ def corpus_params(draw):
 @settings(max_examples=300, deadline=None)
 @given(params=corpus_params(),
        h=st.floats(math.log(0.01), math.log(200.0)).map(math.exp))
+# a saddle whose real multipliers have product 1 + 1e-10
+@example(params=ModelParams(0.02, 0.92, 0.9600000000000001, 1.0),
+         h=math.exp(3.0))
 def test_mickens_labels_match_the_flow(params, h):
     """The Mickens map is dynamically consistent: at any step it gives
     every equilibrium the label the flow gives it."""
