@@ -189,9 +189,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 class Scenario:
     """One solver run plus the artifacts requested from it.
 
-    ``name`` is the artifacts' file stem and a gnuplot string literal.
+    ``name``, a file stem and gnuplot string literal, must be printable.
     """
 
     name: str
@@ -55,7 +55,8 @@ class Scenario:
     outputs: tuple = ("timeseries",)
 
     def __post_init__(self):
-        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\'"):
+        if (self.name in ("", ".", "..") or not self.name.isprintable()
+                or any(c in self.name for c in "/\\'")):
             raise ValueError(f"scenario name {self.name!r} is not a plain "
                              "file stem (no /, \\ or ', not empty, . or ..)")
         if self.scheme not in SCHEMES:
@@ -177,7 +178,8 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareResult:
 
     Trajectories on different grids are resampled by linear interpolation
     onto the overlap of their time ranges (flagged in the result).
-    Disjoint ranges are a usage error.
+    Equal cells are 0 apart (the same infinity too), a NaN cell gives NaN
+    and a gap past the float range inf.  Disjoint ranges are a usage error.
     """
     ta, tb = traj_a.times, traj_b.times
     if ta.size == tb.size and np.array_equal(ta, tb):
@@ -196,7 +198,10 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareResult:
             np.interp(grid, tb, traj_b.states[:, 0]),
             np.interp(grid, tb, traj_b.states[:, 1])])
         resampled = True
-    pointwise = np.abs(a_states - b_states).max(axis=1)
+    with np.errstate(over="ignore"):
+        gap = np.subtract(a_states, b_states, out=np.zeros(a_states.shape),
+                          where=a_states != b_states)
+    pointwise = np.abs(gap).max(axis=1)
     return CompareResult(sup_distance=float(pointwise.max()),
                          terminal_distance=float(pointwise[-1]),
                          resampled=resampled)
@@ -233,16 +238,13 @@ def _verification_text(sc: Scenario, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_scenario(sc: Scenario, out_dir, traj=None):
+def run_scenario(sc: Scenario, out_dir, traj: Optional[Trajectory] = None):
     """Solve one scenario and write its artifacts.
 
-    ``traj`` is the scenario's trajectory when it is already solved, or
-    the exception its solve raised, which is raised here; None solves it.
-    Returns (paths, violation_report) where the report is None unless the
-    scenario requested verification.
+    ``traj`` is the scenario's trajectory when it is already solved; None
+    solves it.  Returns (paths, violation_report) where the report is None
+    unless the scenario requested verification.
     """
-    if isinstance(traj, Exception):
-        raise traj
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if traj is None:
@@ -274,11 +276,11 @@ def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
     together by one :func:`caputo_solve_batch` call, and a negative start
     among them is raised before any write: every ValueError and
     MemoryError leaves nothing written.
-    Each scenario then runs through :func:`run_scenario` in order, which
-    solves the classical ones and writes every artifact.  A scenario whose
-    run failed still lets the others write theirs; the first such error
-    in scenario order is raised once all have run.  ``workers`` has no
-    effect.
+    Each scenario then runs in order: a failed fractional member raises
+    its error, and the rest go through :func:`run_scenario`, which solves
+    the classical ones and writes every artifact.  A failed run still lets
+    the others write theirs; the first error in scenario order is raised
+    once all have run.  ``workers`` has no effect.
     """
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
@@ -301,8 +303,11 @@ def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
             raise traj
     results, error = [], None
     for sc in scenarios:
+        traj = solved.get(sc.name)
         try:
-            results.append(run_scenario(sc, out_dir, solved.get(sc.name)))
+            if isinstance(traj, Exception):
+                raise traj
+            results.append(run_scenario(sc, out_dir, traj))
         except Exception as exc:    # the others still run; raised below
             if error is None:
                 error = exc

@@ -13,19 +13,17 @@ from .model import (EULER, MICKENS, REFERENCE, ModelParams, State, Trajectory,
 
 
 class DivergenceError(RuntimeError):
-    """An integration produced a non-finite state."""
+    """An integration produced a non-finite state; see :meth:`at_step`."""
 
-    def __init__(self, message, time=None, step=None):
-        super().__init__(message)
-        self.time = time
-        self.step = step
+    time = step = None
 
     @classmethod
     def at_step(cls, step: int, h: float) -> "DivergenceError":
         """The error for a first non-finite state at grid step ``step``."""
         t = step * h
-        return cls(f"non-finite state at t = {t:g} (step {step})",
-                   time=t, step=step)
+        exc = cls(f"non-finite state at t = {t:g} (step {step})")
+        exc.time, exc.step = t, step
+        return exc
 
 
 class StepSizeWarning(UserWarning):
@@ -70,26 +68,26 @@ def _stepper(scheme: str, params: ModelParams, h: float):
     are bound once as floats, and each scheme's update is written once,
     inline in its loop.  Products are grouped exactly as the written-out
     maps group them (alpha*h*x is (alpha*h)*x), so hoisting them changes
-    no bit.  A step that divides by zero (capacity 0) raises
-    DivergenceError at that step, and step constants that overflow
-    (Mickens' phi once beta*h is below about -709) give no finite first
-    state: DivergenceError at step 1.
+    no bit.  Capacity 0 (where D/capacity has no value) and step constants
+    that overflow (Mickens' phi once beta*h is below about -709) give no
+    finite first state: DivergenceError at step 1, before any loop is
+    built.  A Mickens denominator that reaches zero mid-run raises it at
+    that step.
     """
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
                                 params.capacity)
+    if capacity == 0.0:
+        raise DivergenceError.at_step(1, h)
     if scheme == EULER:
         ah, ph, bh = alpha * h, p * h, beta * h
 
         def run(flat, start, stop):
             d, l = flat[start - 2], flat[start - 1]
-            try:
-                for i in range(start, stop, 2):
-                    d, l = (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
-                            l * (ph * d - bh + 1.0))
-                    flat[i] = d
-                    flat[i + 1] = l
-            except ZeroDivisionError as exc:
-                raise DivergenceError.at_step(i // 2, h) from exc
+            for i in range(start, stop, 2):
+                d, l = (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
+                        l * (ph * d - bh + 1.0))
+                flat[i] = d
+                flat[i + 1] = l
     elif scheme == MICKENS:
         try:
             phi = mickens_phi(params, h)
@@ -114,18 +112,15 @@ def _stepper(scheme: str, params: ModelParams, h: float):
 
         def run(flat, start, stop):
             d, l = flat[start - 2], flat[start - 1]
-            try:
-                for i in range(start, stop, 2):
-                    k1d, k1l = f(d, l)
-                    k2d, k2l = f(d + hh * k1d, l + hh * k1l)
-                    k3d, k3l = f(d + hh * k2d, l + hh * k2l)
-                    k4d, k4l = f(d + h * k3d, l + h * k3l)
-                    d, l = (d + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0,
-                            l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
-                    flat[i] = d
-                    flat[i + 1] = l
-            except ZeroDivisionError as exc:
-                raise DivergenceError.at_step(i // 2, h) from exc
+            for i in range(start, stop, 2):
+                k1d, k1l = f(d, l)
+                k2d, k2l = f(d + hh * k1d, l + hh * k1l)
+                k3d, k3l = f(d + hh * k2d, l + hh * k2l)
+                k4d, k4l = f(d + h * k3d, l + h * k3l)
+                d, l = (d + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0,
+                        l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
+                flat[i] = d
+                flat[i + 1] = l
     return run
 
 
@@ -163,9 +158,10 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
     1 - beta*h <= 0 (predator positivity is then no longer guaranteed).
     Only the reference scheme raises DivergenceError on non-finite states;
     Euler is left free to misbehave since exposing that is part of the
-    point of having it.  Under every scheme a step that divides by zero
-    (capacity 0) raises DivergenceError at that step, and step constants
-    that overflow raise it at step 1.
+    point of having it.  Under every scheme capacity 0 and step constants
+    that overflow raise DivergenceError at step 1 before the grid is
+    allocated, and a Mickens denominator that reaches zero raises it at
+    that step.
     """
     if cfg.scheme == EULER and params.validated:
         slack = 1.0 - params.beta * cfg.h

@@ -166,7 +166,7 @@ def _classify_halfplane(poly: Quadratic) -> str:
         return NON_HYPERBOLIC
     if c0 < 0.0:
         return SADDLE
-    return SINK if c1 > 0.0 else SOURCE
+    return SINK if routh_hurwitz_quadratic(poly) else SOURCE
 
 
 def _classify_unit_circle(sc: SchurCohnResult, phi: float) -> str:

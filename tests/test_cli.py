@@ -133,7 +133,8 @@ class TestSimulate:
         assert str(cfg) in err and repr(name) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.cfg"]
 
-    @pytest.mark.parametrize("name", ["../escaped", "it's", "", "."])
+    @pytest.mark.parametrize("name", ["../escaped", "it's", "", ".", "a\nb",
+                                      "a\tb"])
     def test_unsafe_name_flag_exits_two(self, tmp_path, capsys, name):
         out = tmp_path / "out"
         code = run_cli("simulate", "--name", name, "--t-end", 5,
@@ -232,18 +233,59 @@ _VALID = {"alpha": ("0.05", "0.2"), "beta": ("0.3", "0.5"), "p": ("0.4", "0.9"),
 _MAX_STEPS = 3000
 
 
+def _csv_text(draw, start):
+    """Rows from time ``start`` with cells that may be non-finite, or the
+    header alone, or a cell that is not a number."""
+    cell = st.sampled_from(_EXTREME + _VALID["d0"] + _VALID["l0"])
+    rows = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(("rows",) * 6 + ("header", "bad cell")))
+    if kind == "header":
+        rows = []
+    elif kind == "bad cell":
+        rows[-1] = (rows[-1][0], "abc")
+    return "t,D,L\n" + "".join(f"{start + i:g},{d},{l}\n"
+                               for i, (d, l) in enumerate(rows))
+
+
 @st.composite
 def _cli_calls(draw):
-    """argv for stability, simulate, verify or sweep, as --flag=value."""
-    command = draw(st.sampled_from(("stability", "simulate", "verify", "sweep")))
-    names = draw(st.lists(st.sampled_from(sorted(_VALID)), unique=True,
-                          max_size=4))
-    flags = {n: draw(st.sampled_from(_EXTREME + _VALID[n])) for n in names}
+    """argv for any command, as --flag=value.
+
+    An item (name, text) stands for a file of that text, passed by path.
+    """
+    command = draw(st.sampled_from(("stability", "simulate", "verify", "sweep",
+                                    "compare", "figures")))
+    if command == "compare":
+        # b from 0 shares a's grid or resamples, from 10 it is disjoint
+        start = draw(st.sampled_from((0, 0, 0.5, 10)))
+        return [command, ("a.csv", _csv_text(draw, 0)),
+                ("b.csv", _csv_text(draw, start))]
+    if command == "figures":
+        return [command, draw(st.sampled_from((*PRESETS, "all")))]
+
+    def fields():
+        names = draw(st.lists(st.sampled_from(sorted(_VALID)), unique=True,
+                              max_size=4))
+        return {n: draw(st.sampled_from(_EXTREME + _VALID[n])) for n in names}
+    flags = fields()
     argv = [command, *(f"--{n}={v}" for n, v in flags.items())]
     scheme = draw(st.sampled_from((None, *SCHEMES)))
     if scheme:
         argv.append(f"--scheme={scheme}")
-    steps = [flags.get("h", "0.25")]
+    sections = {}
+    if command in ("simulate", "verify") and draw(st.booleans()):
+        # one or two sections, each drawn like the flags, which override it
+        for name in draw(st.lists(st.sampled_from(("a", "b", "a\tb")),
+                                  min_size=1, max_size=2, unique=True)):
+            sections[name] = fields()
+        argv += ["--config", ("runs.cfg", "".join(
+            f"[{name}]\n" + "".join(f"{k.replace('-', '_')} = {v}\n"
+                                    for k, v in section.items())
+            for name, section in sections.items()))]
+    elif command == "simulate" and draw(st.booleans()):
+        name = draw(st.sampled_from(("a b", "a\nb", "a\tb")))
+        argv.append(f"--name={name}")
+    steps = []
     if command == "sweep":
         param = draw(st.sampled_from(("sigma", "h")))
         values = draw(st.lists(st.sampled_from(_EXTREME + _VALID[param]),
@@ -254,10 +296,11 @@ def _cli_calls(draw):
     elif command != "stability" and draw(st.booleans()):
         argv.append("--strict")
     if command != "stability":
-        t_end = float(flags.get("t-end", "300"))
-        for h in map(float, steps):
-            # a zero, negative or non-finite ratio fails before any solve
-            assume(h == 0.0 or not _MAX_STEPS < t_end / h < math.inf)
+        for run in [{**s, **flags} for s in sections.values()] or [flags]:
+            t_end = float(run.get("t-end", "300"))
+            for h in map(float, steps or [run.get("h", "0.25")]):
+                # a zero, negative or non-finite ratio fails before any solve
+                assume(h == 0.0 or not _MAX_STEPS < t_end / h < math.inf)
     return argv
 
 
@@ -275,14 +318,23 @@ def _cli_calls(draw):
 @example(argv=["verify", "--scheme=euler", "--beta=-1"])
 @example(argv=["sweep", "--l0=1e-9", "--alpha=1e9", "--param=sigma",
                "--values=1e-320,0.3"])
+@example(argv=["simulate", "--name=a\nb"])
+@example(argv=["compare", ("a.csv", "t,D,L\n0,inf,0.2\n"),
+               ("b.csv", "t,D,L\n0,inf,0.2\n")])
+@example(argv=["compare", ("a.csv", "t,D,L\n0,0,1e308\n"),
+               ("b.csv", "t,D,L\n0,0,-1e308\n")])
 def test_every_call_keeps_the_contract(argv):
     # exit 0, or exit 1 or 2 with one error: line (under --strict, exit 1
     # may print violation: lines instead); no traceback, no warning but
-    # StepSizeWarning, nothing written on exit 2, and every CSV written
-    # starts from a finite state
+    # StepSizeWarning, nothing written on exit 2, every file written has
+    # a printable name and every CSV written starts from a finite state
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        if argv[0] != "stability":
+        for name, text in (a for a in argv if isinstance(a, tuple)):
+            (Path(tmp) / name).write_text(text)
+        argv = [str(Path(tmp) / a[0]) if isinstance(a, tuple) else a
+                for a in argv]
+        if argv[0] not in ("stability", "compare"):
             argv = [*argv, f"--output={out}"]
         err = io.StringIO()
         # numpy's default error state: underflow alone is silent
@@ -307,6 +359,7 @@ def test_every_call_keeps_the_contract(argv):
         written = sorted(out.iterdir()) if out.exists() else []
         if code == 2:
             assert written == []
+        assert all(p.name.isprintable() for p in written)
         for csv in (p for p in written if p.suffix == ".csv"):
             start = csv.read_text().split("\n")[1]
             assert all(map(math.isfinite, map(float, start.split(","))))

@@ -5,6 +5,7 @@ integration of the vector field (see ``tests/oracles.py``).
 """
 import hashlib
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -313,6 +314,15 @@ def test_single_step_at_zero_capacity_diverges_like_iterate(s0, scheme):
     with pytest.raises(DivergenceError) as info:
         STEPS[scheme](p, 0.25, s0)
     assert (info.value.step, info.value.time) == (1, 0.25)
+
+
+def test_divergence_error_survives_pickle():
+    exc = pickle.loads(pickle.dumps(DivergenceError.at_step(3, 0.25)))
+    assert isinstance(exc, DivergenceError)
+    assert (str(exc), exc.step, exc.time) == (
+        "non-finite state at t = 0.75 (step 3)", 3, 0.75)
+    assert DivergenceError("m").step is None
+    assert DivergenceError("m").time is None
 
 
 # zero, huge and subnormal magnitudes of either sign, or moderate values
