@@ -13,40 +13,29 @@ from dataclasses import replace
 from pathlib import Path
 
 from .model import FRACTIONAL, SCHEMES
-from .runner import (PRESETS, ConfigError, Scenario, compare, load_scenarios,
-                     run_batch, run_presets, run_scenarios, stability_text,
-                     trajectory_from_csv, write_artifact)
+from .runner import (MODEL_FIELDS, PRESETS, ConfigError, Scenario, compare,
+                     load_scenarios, run_batch, run_presets, run_scenarios,
+                     stability_text, trajectory_from_csv, write_artifact)
 from .schemes import DivergenceError
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
     g = p.add_argument_group("model")
-    g.add_argument("--alpha", type=float, default=None, help="prey growth rate")
-    g.add_argument("--beta", type=float, default=None, help="predator death rate")
-    g.add_argument("--p", type=float, default=None, help="predation rate")
-    g.add_argument("--capacity", type=float, default=None, help="prey carrying capacity")
-    g.add_argument("--d0", type=float, default=None, help="initial prey population")
-    g.add_argument("--l0", type=float, default=None, help="initial predator population")
-    g.add_argument("--scheme", choices=SCHEMES, default=None,
-                   help="solver formulation (default reference)")
-    g.add_argument("--h", type=float, default=None, help="step size (default 0.25)")
-    g.add_argument("--t-end", type=float, default=None, dest="t_end",
-                   help="final time (default 300)")
-    g.add_argument("--sigma", type=float, default=None,
-                   help="Caputo order in (0, 1] (default 0.95)")
+    for field, text in MODEL_FIELDS.items():
+        kind = {"choices": SCHEMES} if field == "scheme" else {"type": float}
+        g.add_argument("--" + field.replace("_", "-"), help=text, **kind)
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
+def _add_run_flags(p: argparse.ArgumentParser):
+    _add_model_flags(p)
     p.add_argument("--output", default=".", help="output directory (default .)")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when an invariant is violated")
-    p.add_argument("--config", default=None, help="scenario file to run")
+    p.add_argument("--config", help="scenario file to run")
 
 
 def _overrides(args) -> dict:
-    keys = ("alpha", "beta", "p", "capacity", "d0", "l0", "scheme", "h",
-            "t_end", "sigma")
-    return {k: getattr(args, k) for k in keys}
+    return {k: getattr(args, k) for k in MODEL_FIELDS}
 
 
 def _scenarios_for(args, default_name, verify: bool):
@@ -91,19 +80,15 @@ def cmd_stability(args) -> int:
 def cmd_verify(args) -> int:
     scenarios = _scenarios_for(args, "verify", verify=True)
     _, reports = run_scenarios(scenarios, args.output)
-    ok = True
     # every scenario asks for verify, so each has one report, in order
     for sc, report in zip(scenarios, reports):
         if report.ok:
             print(f"{sc.name}: ok (scheme {sc.scheme}, {sc.t_end:g} time units)")
         else:
-            ok = False
             t = report.trajectory.times[report.first_violation_index]
             print(f"{sc.name}: VIOLATION {report.violated_quantity} at t = {t:g} "
                   f"(observed {report.observed:g}, bound {report.bound:g})")
-    if not ok and args.strict:
-        return 1
-    return 0
+    return 1 if args.strict and not all(r.ok for r in reports) else 0
 
 
 def cmd_compare(args) -> int:
@@ -149,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scenario (or a config file) to CSV")
     p.add_argument("--name", default="run", help="scenario name for artifacts")
-    _add_model_flags(p)
-    _add_common_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("stability", help="print the equilibrium classification table")
@@ -160,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("verify", help="check a run against its invariant region")
-    _add_model_flags(p)
-    _add_common_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="distances between two trajectory CSVs")

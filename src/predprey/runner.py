@@ -33,6 +33,21 @@ DEFAULT_PARAMS = ModelParams(alpha=0.05, beta=0.3, p=0.4, capacity=1.0)
 DEFAULT_INITIAL = State(0.2, 0.3)
 STANDARD_INITIALS = (State(0.2, 0.3), State(0.0, 0.5), State(0.85, 0.1))
 
+#: a scenario's flat fields, each both a config key and a command-line
+#: flag, in flag order, with the flag's help text; all but scheme are floats
+MODEL_FIELDS = {
+    "alpha": "prey growth rate",
+    "beta": "predator death rate",
+    "p": "predation rate",
+    "capacity": "prey carrying capacity",
+    "d0": "initial prey population",
+    "l0": "initial predator population",
+    "scheme": "solver formulation (default reference)",
+    "h": "step size (default 0.25)",
+    "t_end": "final time (default 300)",
+    "sigma": "Caputo order in (0, 1] (default 0.95)",
+}
+
 
 class ConfigError(ValueError):
     """Bad scenario file; the message carries file and line number."""
@@ -72,9 +87,9 @@ class Scenario:
     def from_fields(cls, name: str, fields) -> "Scenario":
         """Build from flat fields, as a config section or flags give them.
 
-        Keys are the scenario fields plus alpha, beta, p, capacity, d0 and
-        l0; a missing or None field takes its default.  Parameters that
-        break the ordering fall back to ``ModelParams.unchecked``.
+        Keys are those of :data:`MODEL_FIELDS` and ``outputs``; a missing
+        or None field takes its default.  Parameters that break the
+        ordering fall back to ``ModelParams.unchecked``.
         """
         given = {k: v for k, v in fields.items() if v is not None}
         p = {k: given.pop(k, getattr(DEFAULT_PARAMS, k))
@@ -173,38 +188,50 @@ class CompareResult:
     resampled: bool = False
 
 
+def _interp(grid, times, values):
+    """``np.interp``, but where its slope overflows (huge samples of opposite
+    sign, or a tiny time step) the two samples' mean weighted by position,
+    which stays within their range."""
+    out = np.interp(grid, times, values)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size and times.size > 1:
+        j = np.clip(np.searchsorted(times, grid[bad]) - 1, 0, times.size - 2)
+        y0, y1 = values[j], values[j + 1]
+        with np.errstate(all="ignore"):     # a non-finite sample gives nan or inf
+            w = (grid[bad] - times[j]) / (times[j + 1] - times[j])
+            mean = np.clip((1 - w) * y0 + w * y1, *np.sort([y0, y1], axis=0))
+        out[bad] = np.where(np.isfinite(mean), mean, out[bad])
+    return out
+
+
 def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareResult:
     """Sup-norm and final-time distance between two trajectories.
 
     Trajectories on different grids are resampled by linear interpolation
-    onto the overlap of their time ranges (flagged in the result).
-    Equal cells are 0 apart (the same infinity too), a NaN cell gives NaN
-    and a gap past the float range inf.  Disjoint ranges are a usage error.
+    onto the first one's times within the overlap of their ranges (flagged
+    in the result).  Equal cells are 0 apart (the same infinity too), a
+    NaN cell gives NaN and a gap past the float range inf.  Disjoint
+    ranges, or a first trajectory with no time inside the overlap, are a
+    usage error.
     """
     ta, tb = traj_a.times, traj_b.times
-    if ta.size == tb.size and np.array_equal(ta, tb):
-        a_states, b_states = traj_a.states, traj_b.states
-        resampled = False
-    else:
-        lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
-        if hi < lo:
-            raise ValueError("trajectories cover disjoint time ranges")
-        keep = (ta >= lo) & (ta <= hi)
-        grid = ta[keep]
-        if grid.size == 0:
-            raise ValueError("no sample points fall inside the shared range")
-        a_states = traj_a.states[keep]
-        b_states = np.column_stack([
-            np.interp(grid, tb, traj_b.states[:, 0]),
-            np.interp(grid, tb, traj_b.states[:, 1])])
-        resampled = True
+    lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
+    if hi < lo:
+        raise ValueError("trajectories cover disjoint time ranges")
+    keep = (ta >= lo) & (ta <= hi)
+    if not keep.any():
+        raise ValueError("no sample points fall inside the shared range")
+    a_states = traj_a.states[keep]
+    # np.interp returns a sample itself at its own time, so a shared grid
+    # compares the states as they are
+    b_states = np.column_stack([_interp(ta[keep], tb, y) for y in traj_b.states.T])
     with np.errstate(over="ignore"):
         gap = np.subtract(a_states, b_states, out=np.zeros(a_states.shape),
                           where=a_states != b_states)
     pointwise = np.abs(gap).max(axis=1)
     return CompareResult(sup_distance=float(pointwise.max()),
                          terminal_distance=float(pointwise[-1]),
-                         resampled=resampled)
+                         resampled=not np.array_equal(ta, tb))
 
 
 # {{{ artifact writing
@@ -433,10 +460,6 @@ def run_presets(presets, out_dir):
 
 # {{{ scenario config files
 
-_FLOAT_KEYS = ("alpha", "beta", "p", "capacity", "d0", "l0", "h", "t_end", "sigma")
-_SCENARIO_KEYS = frozenset(_FLOAT_KEYS) | {"scheme", "outputs"}
-
-
 def parse_config(text: str, source: str = "<config>"):
     """Parse a sectioned key-value scenario file.
 
@@ -465,13 +488,11 @@ def parse_config(text: str, source: str = "<config>"):
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', "
                               f"got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if current is None:
             raise ConfigError(f"{source}:{lineno}: {key!r} appears before any "
                               "[section] header")
-        if key not in _SCENARIO_KEYS:
+        if key not in MODEL_FIELDS and key != "outputs":
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
@@ -481,32 +502,26 @@ def parse_config(text: str, source: str = "<config>"):
     return sections
 
 
-def _scenario_from_section(name, mapping, source, overrides=None):
-    fields = {}
-    for key, (value, lineno) in mapping.items():
-        if key in _FLOAT_KEYS:
-            try:
-                fields[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{source}:{lineno}: {key} must be a number, "
-                                  f"got {value!r}") from None
-        elif key == "outputs":
-            fields[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        else:
-            fields[key] = value
-    if overrides:
-        fields.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return Scenario.from_fields(name, fields)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: scenario {name!r}: {exc}") from None
-
-
 def load_scenarios(path, overrides=None):
     """Scenarios from a config file, with optional flag overrides applied."""
     path = Path(path)
-    sections = parse_config(_read_utf8(path, ConfigError), source=str(path))
-    return [_scenario_from_section(name, mapping, str(path), overrides)
-            for name, mapping in sections]
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    scenarios = []
+    for name, mapping in parse_config(_read_utf8(path, ConfigError), str(path)):
+        fields = {}
+        for key, (value, lineno) in mapping.items():
+            if key == "outputs":
+                fields[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+            else:
+                try:
+                    fields[key] = value if key == "scheme" else float(value)
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: {key} must be a number, "
+                                      f"got {value!r}") from None
+        try:
+            scenarios.append(Scenario.from_fields(name, {**fields, **flags}))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: scenario {name!r}: {exc}") from None
+    return scenarios
 
 # }}}

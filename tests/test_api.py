@@ -37,7 +37,7 @@ def test_import_starts_no_thread_pool_machinery():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, predprey; print(['concurrent.futures' in sys.modules,"
-         " 'numpy.fft' in sys.modules])"],
+         " 'numpy.fft' in sys.modules, 'argparse' in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "[False, False]\n"), \
+    assert (proc.returncode, proc.stdout) == (0, "[False, False, False]\n"), \
         proc.stderr

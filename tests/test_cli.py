@@ -547,6 +547,34 @@ class TestCompare:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows_a,rows_b,sup,terminal", [
+        # huge neighbours of opposite sign: np.interp's slope overflows
+        ("0,0,0\n1,0,0\n", "0,0,1e308\n2,0,-1e308\n", "1e+308", "0"),
+        # two sample times very close: the slope overflows again
+        ("0,0,0\n5e-301,0,0\n", "0,0,0\n1e-300,0,1e10\n",
+         "5000000000", "5000000000"),
+    ], ids=["opposite-signs", "close-times"])
+    def test_resampling_survives_an_overflowing_slope(self, tmp_path, capsys,
+                                                      rows_a, rows_b, sup,
+                                                      terminal):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,D,L\n" + rows_a)
+        b.write_text("t,D,L\n" + rows_b)
+        assert run_cli("compare", a, b) == 0
+        assert capsys.readouterr().out == (
+            f"sup distance      {sup} (resampled onto the shared range)\n"
+            f"terminal distance {terminal}\n")
+
+    def test_no_sample_inside_the_shared_range_exits_two(self, tmp_path,
+                                                         capsys):
+        wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        wide.write_text("t,D,L\n0,0,0\n10,0,0\n")
+        narrow.write_text("t,D,L\n2,0,0\n3,0,0\n")
+        assert run_cli("compare", wide, narrow) == 2
+        assert capsys.readouterr().err == (
+            "error: no sample points fall inside the shared range\n")
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body,message", [
         ("", "times must be a nonempty 1-d array"),
         ("0,0.2,0.3\n0,0.2,0.3\n", "times must be strictly increasing"),
@@ -751,6 +779,32 @@ class TestFlagsAndConfig:
                                            for k, v in fields.items()))
         assert from_flags == load_scenarios(cfg)
         assert from_flags[0].params.validated is validated
+
+    #: a value for each flat field that differs from its default
+    FIELD_VALUES = {"alpha": "0.06", "beta": "0.25", "p": "0.35",
+                    "capacity": "1.2", "d0": "0.3", "l0": "0.2",
+                    "scheme": "mickens", "h": "0.5", "t_end": "3",
+                    "sigma": "0.9"}
+
+    @pytest.mark.parametrize("field", runner.MODEL_FIELDS)
+    def test_flag_and_key_write_the_same_csv(self, tmp_path, field):
+        # euler keeps each run short; sigma acts only under fractional
+        base = {"scheme": "fractional" if field == "sigma" else "euler",
+                "t_end": "2"}
+        base.pop(field, None)   # a flag would override the key
+        value = self.FIELD_VALUES[field]
+        argv = [a for k, v in base.items()
+                for a in (f"--{k.replace('_', '-')}", v)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\n{field} = {value}\n")
+        csvs = {}
+        for run, extra in (("default", []),
+                           ("flag", [f"--{field.replace('_', '-')}", value]),
+                           ("key", ["--config", cfg])):
+            assert run_cli("simulate", "--output", tmp_path / run, *argv,
+                           *extra) == 0
+            csvs[run] = (tmp_path / run / "run.csv").read_bytes()
+        assert csvs["flag"] == csvs["key"] != csvs["default"]
 
 
 class TestParser:

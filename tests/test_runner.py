@@ -279,6 +279,14 @@ class TestCompare:
         with pytest.raises(ValueError, match="disjoint"):
             compare(a, b)
 
+    def test_no_sample_of_the_first_inside_the_shared_range(self):
+        # only the first trajectory's grid is sampled, so the order matters
+        wide = Trajectory(np.array([0.0, 10.0]), np.zeros((2, 2)), "csv")
+        narrow = Trajectory(np.array([2.0, 3.0]), np.zeros((2, 2)), "csv")
+        with pytest.raises(ValueError, match="no sample points fall inside"):
+            compare(wide, narrow)
+        assert compare(narrow, wide) == CompareResult(0.0, 0.0, resampled=True)
+
 
 class TestRunScenario:
     def test_all_artifacts_written(self, tmp_path):
