@@ -101,16 +101,19 @@ class Equilibrium:
 
 
 def grid_steps(h: float, t_end: float) -> int:
-    """Steps of width h covering [0, t_end]; h > 0, t_end >= h, finite t_end/h."""
+    """Steps n of width h covering [0, t_end]; h > 0, t_end >= h, and t_end/h
+    and the last time n*h finite."""
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
     if not t_end >= h:
         raise ValueError(f"t_end must be at least h, got {t_end!r}")
     steps = t_end / h
-    if not math.isfinite(steps):
-        raise ValueError(f"t_end/h must be finite, got {t_end!r}/{h!r}")
     # ceil, but tolerant of t_end/h landing a hair above an integer
-    return math.ceil(steps - 1e-9)
+    n = math.ceil(steps - 1e-9) if math.isfinite(steps) else math.inf
+    if not math.isfinite(n * h):
+        raise ValueError(f"t_end/h and the last grid time must be finite, "
+                         f"got {t_end!r}/{h!r}")
+    return n
 
 
 def check_order(sigma: float) -> None:
@@ -166,9 +169,9 @@ def equilibria(params: ModelParams):
 class Trajectory:
     """Time grid plus the matching (n, 2) array of states.
 
-    ``times`` must be strictly increasing and the arrays congruent.  The
-    ``params`` and ``config`` fields are provenance and may be None (for
-    instance when a trajectory is re-read from CSV).
+    ``times`` must be strictly increasing and finite, and the arrays
+    congruent.  The ``params`` and ``config`` fields are provenance and
+    may be None (for instance when a trajectory is re-read from CSV).
     """
 
     times: np.ndarray
@@ -190,6 +193,8 @@ class Trajectory:
         # compared, not subtracted: inf - inf would warn before the error
         if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
 
     def __len__(self):
         return int(self.times.size)

@@ -188,43 +188,38 @@ class CompareResult:
     resampled: bool = False
 
 
-def _interp(grid, times, values):
-    """``np.interp``, but where its slope overflows (huge samples of opposite
-    sign, or a tiny time step) the two samples' mean weighted by position,
-    which stays within their range."""
-    out = np.interp(grid, times, values)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size and times.size > 1:
-        j = np.clip(np.searchsorted(times, grid[bad]) - 1, 0, times.size - 2)
-        y0, y1 = values[j], values[j + 1]
-        with np.errstate(all="ignore"):     # a non-finite sample gives nan or inf
-            w = (grid[bad] - times[j]) / (times[j + 1] - times[j])
-            mean = np.clip((1 - w) * y0 + w * y1, *np.sort([y0, y1], axis=0))
-        out[bad] = np.where(np.isfinite(mean), mean, out[bad])
-    return out
+def _at(traj: Trajectory, grid) -> np.ndarray:
+    """``traj``'s states at ``grid`` times inside its range: a sample at its
+    own time, else its neighbours' mean weighted by position w = (t - t0) /
+    (t1 - t0), clipped to their range.  Only where t1 - t0 overflows are the
+    three times halved: halved subnormal times can make both ends equal."""
+    j = np.searchsorted(traj.times, grid, side="right") - 1
+    jk = [j, np.minimum(j + 1, len(traj) - 1)]
+    # take and minimum/maximum: 10x faster than fancy indexing and np.sort
+    (t0, t1), (y0, y1) = traj.times[jk], traj.states.take(jk, axis=0)
+    with np.errstate(all="ignore"):     # a non-finite sample gives nan or inf
+        scale = np.where(np.isfinite(t1 - t0), 1.0, 0.5)
+        w = ((grid * scale - t0 * scale) / (t1 * scale - t0 * scale))[:, None]
+        mean = np.clip((1 - w) * y0 + w * y1, np.minimum(y0, y1), np.maximum(y0, y1))
+    return np.where((grid == t0)[:, None], y0, mean)
 
 
 def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareResult:
     """Sup-norm and final-time distance between two trajectories.
 
-    Trajectories on different grids are resampled by linear interpolation
-    onto the first one's times within the overlap of their ranges (flagged
-    in the result).  Equal cells are 0 apart (the same infinity too), a
-    NaN cell gives NaN and a gap past the float range inf.  Disjoint
-    ranges, or a first trajectory with no time inside the overlap, are a
-    usage error.
+    Both are read (see :func:`_at`) at the ends of their shared range and
+    at the first one's times strictly inside it, so the terminal distance
+    is at the range's end; grids that differ are flagged in the result.
+    Equal cells are 0 apart (the same infinity too), a NaN cell gives NaN
+    and a gap past the float range inf.  Only disjoint ranges are an error.
     """
     ta, tb = traj_a.times, traj_b.times
     lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
     if hi < lo:
         raise ValueError("trajectories cover disjoint time ranges")
-    keep = (ta >= lo) & (ta <= hi)
-    if not keep.any():
-        raise ValueError("no sample points fall inside the shared range")
-    a_states = traj_a.states[keep]
-    # np.interp returns a sample itself at its own time, so a shared grid
-    # compares the states as they are
-    b_states = np.column_stack([_interp(ta[keep], tb, y) for y in traj_b.states.T])
+    # np.concatenate, not np.union1d: np.unique imports numpy.ma
+    grid = np.concatenate(([lo], ta[(ta > lo) & (ta < hi)], [hi]))
+    a_states, b_states = _at(traj_a, grid), _at(traj_b, grid)
     with np.errstate(over="ignore"):
         gap = np.subtract(a_states, b_states, out=np.zeros(a_states.shape),
                           where=a_states != b_states)

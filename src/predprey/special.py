@@ -9,10 +9,10 @@ added with exactly rounded summation (``math.fsum``).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 
-GAMMA_MAX_Z = 171.0     # gamma overflows IEEE doubles just above 171.62
 ML_MAX_ABS_Z = 50.0     # documented series range; see mittag_leffler
 ML_ABS_TOL = 1e-14      # a series term below this counts as small
 ML_MAX_TERMS = 10000    # terms summed before the series gives up
@@ -22,15 +22,16 @@ _LOG_DOUBLE_MAX = math.log(sys.float_info.max)    # exp raises above this
 def gamma(z):
     """Gamma function for real z > 0.
 
-    Raises ValueError for z <= 0 and OverflowError for z > 171 where the
-    result no longer fits in a double.
+    Raises ValueError for z <= 0 and OverflowError where the result does
+    not fit in a double (z above about 171.62, or tiny z).
     """
     z = float(z)
     if math.isnan(z) or z <= 0.0:
         raise ValueError(f"gamma requires z > 0, got {z!r}")
-    if z > GAMMA_MAX_Z:
-        raise OverflowError(f"gamma({z:g}) overflows double precision")
-    return math.gamma(z)
+    if z < math.inf:        # math.gamma(inf) returns inf
+        with contextlib.suppress(OverflowError):
+            return math.gamma(z)
+    raise OverflowError(f"gamma({z:g}) overflows double precision")
 
 
 def beta(z, w):

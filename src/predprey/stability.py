@@ -197,8 +197,9 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     classifications rather than exceptions; so do points whose Jacobian
     is undefined (capacity 0, where D/capacity has no value), overflows,
     divides by zero or gives a criterion value that is not finite (extreme
-    unvalidated parameters).  A point that does not exist gives the
-    reason from :func:`equilibria` in every case.
+    unvalidated parameters, or a point that is not finite).  A point that
+    does not exist is ``out-of-criterion`` with the reason from
+    :func:`equilibria` in every case.
     """
     if scheme not in (REFERENCE, EULER, MICKENS, FRACTIONAL):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -215,10 +216,7 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     reports = []
     for eq in equilibria(params):
         reason = None
-        if not eq.exists and not (math.isfinite(eq.point.d)
-                                  and math.isfinite(eq.point.l)):
-            reason = eq.reason
-        elif params.capacity == 0.0:
+        if params.capacity == 0.0:
             reason = "capacity = 0: the Jacobian divides by the capacity"
         else:
             try:

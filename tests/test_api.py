@@ -41,3 +41,22 @@ def test_import_starts_no_thread_pool_machinery():
         capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "[False, False, False]\n"), \
         proc.stderr
+
+
+def test_compare_loads_no_module():
+    # a fresh interpreter again; np.unique, and np.union1d through it,
+    # would import numpy.ma on its first call
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + ([inherited] if inherited else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy as np\n"
+         "from predprey import Trajectory, compare\n"
+         "a = Trajectory(np.arange(5.0), np.ones((5, 2)), 'csv')\n"
+         "b = Trajectory(np.arange(0.5, 9.0, 0.5), np.zeros((17, 2)), 'csv')\n"
+         "before = set(sys.modules)\n"
+         "compare(a, b), compare(b, a), compare(a, a)\n"
+         "print(sorted(set(sys.modules) - before))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

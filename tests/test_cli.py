@@ -231,20 +231,29 @@ _VALID = {"alpha": ("0.05", "0.2"), "beta": ("0.3", "0.5"), "p": ("0.4", "0.9"),
           "h": ("0.25", "1"), "t-end": ("5", "50"), "sigma": ("0.5", "0.95")}
 # grids longer than this are real but slow, and are not drawn
 _MAX_STEPS = 3000
+# CSV times whose steps overflow, or are subnormal and would halve to equal
+_EXTREME_TIMES = (-1e308, -1.0, 0.0, 5e-324, 1.5e-323, 2e-323, 2.5e-323, 1.0,
+                  1e308)
 
 
 def _csv_text(draw, start):
-    """Rows from time ``start`` with cells that may be non-finite, or the
-    header alone, or a cell that is not a number."""
+    """Rows with cells that may be non-finite, at times 1 apart from
+    ``start`` or at extreme times (huge, subnormal); or the header alone,
+    or a cell that is not a number."""
     cell = st.sampled_from(_EXTREME + _VALID["d0"] + _VALID["l0"])
     rows = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=3))
+    times = [f"{start + i:g}" for i in range(len(rows))]
+    if draw(st.booleans()):
+        times = map(repr, sorted(draw(st.sets(st.sampled_from(_EXTREME_TIMES),
+                                              min_size=len(rows),
+                                              max_size=len(rows)))))
     kind = draw(st.sampled_from(("rows",) * 6 + ("header", "bad cell")))
     if kind == "header":
         rows = []
     elif kind == "bad cell":
         rows[-1] = (rows[-1][0], "abc")
-    return "t,D,L\n" + "".join(f"{start + i:g},{d},{l}\n"
-                               for i, (d, l) in enumerate(rows))
+    return "t,D,L\n" + "".join(f"{t},{d},{l}\n"
+                               for t, (d, l) in zip(times, rows))
 
 
 @st.composite
@@ -308,6 +317,8 @@ def _cli_calls(draw):
 @given(argv=_cli_calls())
 @example(argv=["simulate", "--t-end=inf"])
 @example(argv=["simulate", "--h=1e-320"])
+@example(argv=["simulate", "--t-end=1.7e308", "--h=1.6e308", "--scheme=euler",
+               "--alpha=0", "--beta=0", "--p=0"])
 @example(argv=["sweep", "--param=h", "--values=5e-324"])
 @example(argv=["verify", "--scheme=mickens", "--beta=-1e308"])
 @example(argv=["simulate", "--scheme=mickens", "--alpha=1e308", "--strict"])
@@ -323,6 +334,8 @@ def _cli_calls(draw):
                ("b.csv", "t,D,L\n0,inf,0.2\n")])
 @example(argv=["compare", ("a.csv", "t,D,L\n0,0,1e308\n"),
                ("b.csv", "t,D,L\n0,0,-1e308\n")])
+@example(argv=["compare", ("a.csv", "t,D,L\n-1e308,inf,0\n1e308,-inf,0\n"),
+               ("b.csv", "t,D,L\n0,0,0\n1,0,0\n")])
 def test_every_call_keeps_the_contract(argv):
     # exit 0, or exit 1 or 2 with one error: line (under --strict, exit 1
     # may print violation: lines instead); no traceback, no warning but
@@ -548,7 +561,7 @@ class TestCompare:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows_a,rows_b,sup,terminal", [
-        # huge neighbours of opposite sign: np.interp's slope overflows
+        # huge neighbours of opposite sign: their slope overflows
         ("0,0,0\n1,0,0\n", "0,0,1e308\n2,0,-1e308\n", "1e+308", "0"),
         # two sample times very close: the slope overflows again
         ("0,0,0\n5e-301,0,0\n", "0,0,0\n1e-300,0,1e10\n",
@@ -565,14 +578,25 @@ class TestCompare:
             f"sup distance      {sup} (resampled onto the shared range)\n"
             f"terminal distance {terminal}\n")
 
-    def test_no_sample_inside_the_shared_range_exits_two(self, tmp_path,
-                                                         capsys):
-        wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
-        wide.write_text("t,D,L\n0,0,0\n10,0,0\n")
-        narrow.write_text("t,D,L\n2,0,0\n3,0,0\n")
-        assert run_cli("compare", wide, narrow) == 2
-        assert capsys.readouterr().err == (
-            "error: no sample points fall inside the shared range\n")
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows_a,rows_b,distance", [
+        # a's range holds no sample of b's inside it, or the reverse
+        ("0,0,0\n10,0,0\n", "2,0,0\n3,0,0\n", "0"),
+        ("2,0,0\n3,0,0\n", "0,0,0\n10,0,0\n", "0"),
+        # b's L is 0.5 on [0, 1] although its time step overflows
+        ("0,0,0\n1,0,0\n", "-1e308,0,0\n1e308,0,1\n", "0.5"),
+        ("-1e308,0,0\n1e308,0,1\n", "0,0,0\n1,0,0\n", "0.5"),
+    ], ids=["wide-narrow", "narrow-wide", "huge-step-second",
+            "huge-step-first"])
+    def test_either_order_reads_the_shared_range(self, tmp_path, capsys,
+                                                 rows_a, rows_b, distance):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,D,L\n" + rows_a)
+        b.write_text("t,D,L\n" + rows_b)
+        assert run_cli("compare", a, b) == 0
+        assert capsys.readouterr().out == (
+            f"sup distance      {distance} (resampled onto the shared range)\n"
+            f"terminal distance {distance}\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body,message", [
@@ -580,6 +604,7 @@ class TestCompare:
         ("0,0.2,0.3\n0,0.2,0.3\n", "times must be strictly increasing"),
         # inf - inf would be a numpy RuntimeWarning ahead of the error
         ("inf,0,0\ninf,0,0\n", "times must be strictly increasing"),
+        ("0,0,0\ninf,0,0\n", "times must be finite"),
         ("0,abc,0.3\n", "could not convert string to float: 'abc'"),
     ])
     def test_table_errors_name_the_file(self, tmp_path, capsys, body, message):

@@ -154,6 +154,13 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             self._traj([0.0, 1.0, 1.0], [[1, 2], [3, 4], [5, 6]])
 
+    @pytest.mark.parametrize("times", [[0.0, math.inf], [-math.inf, 0.0],
+                                       [math.nan]])
+    def test_times_must_be_finite(self, times):
+        # a step from -inf has no weight to interpolate by
+        with pytest.raises(ValueError, match="times must be finite"):
+            self._traj(times, np.zeros((len(times), 2)))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             self._traj([0.0, 1.0], [[1, 2]])

@@ -2,6 +2,7 @@
 import hashlib
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,12 +281,62 @@ class TestCompare:
             compare(a, b)
 
     def test_no_sample_of_the_first_inside_the_shared_range(self):
-        # only the first trajectory's grid is sampled, so the order matters
+        # the ends of the shared range are sampled too, so the order of a
+        # wide and a narrow range does not matter
         wide = Trajectory(np.array([0.0, 10.0]), np.zeros((2, 2)), "csv")
         narrow = Trajectory(np.array([2.0, 3.0]), np.zeros((2, 2)), "csv")
-        with pytest.raises(ValueError, match="no sample points fall inside"):
-            compare(wide, narrow)
+        assert compare(wide, narrow) == CompareResult(0.0, 0.0, resampled=True)
         assert compare(narrow, wide) == CompareResult(0.0, 0.0, resampled=True)
+
+    def test_a_step_past_the_float_range_is_weighed(self):
+        # b's L is 0.5 on [0, 1]; its span 2e308 is halved to find that
+        a = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), "csv")
+        b = Trajectory(np.array([-1e308, 1e308]), [[0.0, 0.0], [0.0, 1.0]],
+                       "csv")
+        assert compare(a, b) == CompareResult(0.5, 0.5, resampled=True)
+        assert compare(b, a) == CompareResult(0.5, 0.5, resampled=True)
+
+    def test_subnormal_times_are_weighed_unhalved(self):
+        # 1.5e-323 and 2.5e-323 would both halve to 1e-323
+        a = Trajectory(np.array([1.5e-323, 2e-323, 2.5e-323]), np.zeros((3, 2)),
+                       "csv")
+        b = Trajectory(np.array([1.5e-323, 2.5e-323]), [[0.0, 0.0], [1.0, 2.0]],
+                       "csv")
+        assert compare(a, b) == CompareResult(2.0, 2.0, resampled=True)
+        assert compare(b, a) == CompareResult(2.0, 2.0, resampled=True)
+
+    def test_terminal_distance_is_at_the_end_of_the_shared_range(self):
+        a = Trajectory(np.array([0.0, 1.0, 2.0]), np.zeros((3, 2)), "csv")
+        b = Trajectory(np.array([0.0, 1.5]), [[0.0, 0.0], [3.0, 0.0]], "csv")
+        assert compare(a, b) == CompareResult(3.0, 3.0, resampled=True)
+        assert compare(b, a) == CompareResult(3.0, 3.0, resampled=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_any_trajectory(), b=_any_trajectory())
+@example(a=Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), "csv"),
+         b=Trajectory(np.array([-1.7976931348623157e308, 1.7976931348623157e308]),
+                      np.array([[1e308, -1e308], [-1e308, 1e308]]), "csv"))
+def test_compare_fails_only_on_disjoint_ranges_and_never_warns(a, b):
+    disjoint = max(a.times[0], b.times[0]) > min(a.times[-1], b.times[-1])
+    zeros = Trajectory(a.times, np.zeros_like(a.states), "csv")
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("always")
+        for x, y in ((a, b), (b, a), (zeros, b)):
+            if disjoint:
+                with pytest.raises(ValueError, match="disjoint"):
+                    compare(x, y)
+            else:
+                res = compare(x, y)
+    assert [w.message for w in caught] == []
+    if not disjoint:
+        # the last call's sup is the largest |b| read, which interpolation
+        # keeps within b's samples (a NaN sample, or inf against -inf,
+        # reads NaN)
+        cells = np.abs(b.states[~np.isnan(b.states)])
+        assert (res.sup_distance <= cells.max(initial=0.0)
+                or math.isnan(res.sup_distance))
 
 
 class TestRunScenario:

@@ -88,6 +88,8 @@ class TestSchemeConfig:
         # t_end/h is not finite: no step count
         dict(h=0.25, t_end=math.inf),
         dict(h=1e-320, t_end=300.0),
+        # two steps of 1.6e308 end past the float range
+        dict(h=1.6e308, t_end=1.7e308),
     ])
     def test_invalid_configs(self, kw):
         with pytest.raises(ValueError):

@@ -44,6 +44,18 @@ class TestGamma:
             gamma(172.0)
         assert math.isfinite(gamma(171.0))
 
+    def test_largest_finite_values_are_returned(self):
+        # gamma(171.5) = 9.48e307 fits in a double, and beta(100, 71.5)
+        # divides by it (mpmath: 9.91541017056066285e-52)
+        assert gamma(171.5) == math.gamma(171.5)
+        assert beta(100.0, 71.5) == pytest.approx(9.91541017056066285e-52,
+                                                  rel=1e-13)
+
+    @pytest.mark.parametrize("z", [171.7, math.inf, 5e-324])
+    def test_overflow_names_the_argument(self, z):
+        with pytest.raises(OverflowError, match=r"gamma\(.*\) overflows"):
+            gamma(z)
+
 
 class TestBeta:
     def test_known_value(self):
