@@ -198,9 +198,9 @@ def caputo_solve_batch(runs) -> list:
     the error that call would raise is returned in its place: a
     ValueError for a negative start, a DivergenceError for a history that
     turns non-finite.  So one failing member costs the others nothing.
-    A negative start, a start that is not finite and capacity 0 (where
-    D/capacity has no value) are settled before any solve.  Runs that
-    share h, t_end and corrector_passes advance together.
+    A negative start and a start that is not finite are settled before
+    any solve.  Runs that share h, t_end and corrector_passes advance
+    together.
     """
     runs = list(runs)
     out = [None] * len(runs)
@@ -211,8 +211,6 @@ def caputo_solve_batch(runs) -> list:
                                 f"got ({s0.d}, {s0.l})")
         elif not (math.isfinite(s0.d) and math.isfinite(s0.l)):
             out[i] = DivergenceError.at_step(0, cfg.h)
-        elif params.capacity == 0.0:
-            out[i] = DivergenceError.at_step(1, cfg.h)
         else:
             groups.setdefault((cfg.h, cfg.t_end, cfg.corrector_passes),
                               []).append(i)

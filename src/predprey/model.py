@@ -41,7 +41,9 @@ class ModelParams:
 
     under which the coexistence equilibrium exists and is attracting.
     Use :meth:`unchecked` to build parameter sets outside that ordering;
-    such instances carry ``validated=False``.
+    such instances carry ``validated=False``.  Both constructors reject a
+    parameter that is not finite and capacity 0, where D/capacity has no
+    value.
     """
 
     alpha: float
@@ -56,6 +58,8 @@ class ModelParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(value))
+        if self.capacity == 0.0:
+            raise ValueError("capacity must be nonzero: the model divides by it")
         if self.validated:
             pc = self.p * self.capacity
             failed = [label for ok, label in (
@@ -142,8 +146,8 @@ def equilibria(params: ModelParams):
     """All fixed points: extinction E1, prey-only E2, coexistence E3.
 
     E3 = (beta/p, (alpha/p)*(1 - beta/(p*capacity))). A point with a
-    negative coordinate, or an E3 left undefined by p*capacity = 0 (p or
-    capacity 0, or their product underflowing), is reported non-existent.
+    negative coordinate, or an E3 left undefined by p*capacity = 0 (p = 0
+    or the product underflowing), is reported non-existent.
     """
     out = [
         Equilibrium(E1, State(0.0, 0.0)),
@@ -151,8 +155,7 @@ def equilibria(params: ModelParams):
     ]
     pc = params.p * params.capacity
     if pc == 0.0:
-        zero = ("p = 0" if params.p == 0.0 else "capacity = 0"
-                if params.capacity == 0.0 else "p*capacity underflows to 0")
+        zero = "p = 0" if params.p == 0.0 else "p*capacity underflows to 0"
         out.append(Equilibrium(E3, State(math.nan, math.nan), exists=False,
                                reason=f"{zero}: no coexistence point"))
     else:

@@ -68,16 +68,13 @@ def _stepper(scheme: str, params: ModelParams, h: float):
     are bound once as floats, and each scheme's update is written once,
     inline in its loop.  Products are grouped exactly as the written-out
     maps group them (alpha*h*x is (alpha*h)*x), so hoisting them changes
-    no bit.  Capacity 0 (where D/capacity has no value) and step constants
-    that overflow (Mickens' phi once beta*h is below about -709) give no
-    finite first state: DivergenceError at step 1, before any loop is
-    built.  A Mickens denominator that reaches zero mid-run raises it at
-    that step.
+    no bit.  Step constants that overflow (Mickens' phi once beta*h is
+    below about -709) give no finite first state: DivergenceError at step
+    1, before any loop is built.  A Mickens denominator that reaches zero
+    mid-run raises it at that step.
     """
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
                                 params.capacity)
-    if capacity == 0.0:
-        raise DivergenceError.at_step(1, h)
     if scheme == EULER:
         ah, ph, bh = alpha * h, p * h, beta * h
 
@@ -158,10 +155,9 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
     1 - beta*h <= 0 (predator positivity is then no longer guaranteed).
     Only the reference scheme raises DivergenceError on non-finite states;
     Euler is left free to misbehave since exposing that is part of the
-    point of having it.  Under every scheme capacity 0 and step constants
-    that overflow raise DivergenceError at step 1 before the grid is
-    allocated, and a Mickens denominator that reaches zero raises it at
-    that step.
+    point of having it.  Mickens step constants that overflow raise
+    DivergenceError at step 1 before the grid is allocated, and a Mickens
+    denominator that reaches zero raises it at that step.
     """
     if cfg.scheme == EULER and params.validated:
         slack = 1.0 - params.beta * cfg.h

@@ -171,7 +171,7 @@ def _classify_halfplane(poly: Quadratic) -> str:
 
 def _classify_unit_circle(sc: SchurCohnResult, phi: float) -> str:
     # P(1) is phi^2 * c0 to leading order (phi: Euler's h, Mickens' phi(h))
-    if (abs(sc.at_one) < BOUNDARY_TOL * phi * phi
+    if (abs(sc.at_one) <= BOUNDARY_TOL * phi * phi
             or abs(sc.at_minus_one) < BOUNDARY_TOL):
         return NON_HYPERBOLIC
     crossings = (sc.at_one < 0.0) + (sc.at_minus_one < 0.0)
@@ -183,7 +183,7 @@ def _classify_unit_circle(sc: SchurCohnResult, phi: float) -> str:
     # the circle (a complex pair); a saddle's real roots can multiply to 1
     if abs(abs(sc.at_zero) - 1.0) < BOUNDARY_TOL:
         return NON_HYPERBOLIC
-    return SINK if abs(sc.at_zero) < 1.0 else SOURCE
+    return SINK if sc else SOURCE
 
 
 def classify(params: ModelParams, scheme: str, h_or_sigma=None):
@@ -192,13 +192,12 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     ``h_or_sigma`` is the step size for the discrete schemes and the order
     for the Caputo form (recorded but not used by the criterion, which for
     the admissible orders coincides with the continuous one); an order
-    outside (0, 1] raises ValueError.  Criterion
-    degeneracies come back as ``non-hyperbolic`` or ``out-of-criterion``
-    classifications rather than exceptions; so do points whose Jacobian
-    is undefined (capacity 0, where D/capacity has no value), overflows,
-    divides by zero or gives a criterion value that is not finite (extreme
-    unvalidated parameters, or a point that is not finite).  A point that
-    does not exist is ``out-of-criterion`` with the reason from
+    outside (0, 1] raises ValueError.  Criterion degeneracies come back
+    as ``non-hyperbolic`` or ``out-of-criterion`` classifications rather
+    than exceptions; so do points whose Jacobian overflows, divides by
+    zero or gives a criterion value that is not finite (extreme
+    unvalidated parameters, or a point that is not finite).  A point
+    that does not exist is ``out-of-criterion`` with the reason from
     :func:`equilibria` in every case.
     """
     if scheme not in (REFERENCE, EULER, MICKENS, FRACTIONAL):
@@ -216,33 +215,30 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
     reports = []
     for eq in equilibria(params):
         reason = None
-        if params.capacity == 0.0:
-            reason = "capacity = 0: the Jacobian divides by the capacity"
-        else:
-            try:
-                # numpy products overflow to inf, and meet inf as nan,
-                # without raising; a criterion built on them is no verdict
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if scheme == EULER:
-                        jac = jacobian_euler(params, h, eq.point)
-                    elif scheme == MICKENS:
-                        jac = jacobian_mickens(params, h, eq.point)
-                    else:
-                        jac = jacobian_continuous(params, eq.point)
-                    poly = characteristic_quadratic(jac)
-                if discrete:
-                    sc = schur_cohn_quadratic(poly)
-                    phi = h if scheme == EULER else mickens_phi(params, h)
-                    details = {"P(1)": sc.at_one, "P(-1)": sc.at_minus_one,
-                               "P(0)": sc.at_zero}
+        try:
+            # numpy products overflow to inf, and meet inf as nan,
+            # without raising; a criterion built on them is no verdict
+            with np.errstate(over="ignore", invalid="ignore"):
+                if scheme == EULER:
+                    jac = jacobian_euler(params, h, eq.point)
+                elif scheme == MICKENS:
+                    jac = jacobian_mickens(params, h, eq.point)
                 else:
-                    details = {"c1": poly.c1, "c0": poly.c0}
-                if not np.isfinite([*jac.flat, *details.values()]).all():
-                    raise OverflowError
-            except OverflowError:
-                reason = f"the {scheme} Jacobian overflows at this point"
-            except ZeroDivisionError:
-                reason = f"the {scheme} Jacobian divides by zero at this point"
+                    jac = jacobian_continuous(params, eq.point)
+                poly = characteristic_quadratic(jac)
+            if discrete:
+                sc = schur_cohn_quadratic(poly)
+                phi = h if scheme == EULER else mickens_phi(params, h)
+                details = {"P(1)": sc.at_one, "P(-1)": sc.at_minus_one,
+                           "P(0)": sc.at_zero}
+            else:
+                details = {"c1": poly.c1, "c0": poly.c0}
+            if not np.isfinite([*jac.flat, *details.values()]).all():
+                raise OverflowError
+        except OverflowError:
+            reason = f"the {scheme} Jacobian overflows at this point"
+        except ZeroDivisionError:
+            reason = f"the {scheme} Jacobian divides by zero at this point"
         if reason is not None:
             if not eq.exists:   # non-existence outranks a Jacobian failure
                 reason = eq.reason

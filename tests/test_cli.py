@@ -152,15 +152,6 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scheme", ["reference", "euler", "mickens"])
-    def test_zero_capacity_exits_one(self, tmp_path, capsys, scheme):
-        code = run_cli("simulate", "--scheme", scheme, "--capacity", 0,
-                       "--output", tmp_path)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "(step 1)" in err
-
     @pytest.mark.parametrize("scheme,size", [("reference", "218. TiB"),
                                              ("fractional", "437. TiB")])
     def test_grid_too_large_for_memory_exits_two(self, tmp_path, capsys,
@@ -202,6 +193,7 @@ _BAD_BATCHES = {
     # a classical grid of 3e13 points cannot be allocated
     "simulate-grid-too-large": ("simulate", _GOOD + "[huge]\nh = 1e-11\n"
                                 "t_end = 300\n"),
+    "simulate-zero-capacity": ("simulate", _GOOD + "[bad]\ncapacity = 0\n"),
 }
 
 
@@ -219,7 +211,26 @@ def test_bad_scenario_in_a_batch_writes_nothing(tmp_path, capsys, case):
     assert run_cli(*argv, "--output", out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert list(out.iterdir()) == []
+    # a section rejected as the file is read leaves no output directory
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep",
+                                     "stability"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_zero_capacity_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                    command, scheme):
+    out = tmp_path / "out"
+    argv = [command, "--scheme", scheme, "--capacity", 0, "--t-end", 5]
+    if command == "sweep":
+        argv += ["--param", "h", "--values", "0.25,0.5"]
+    argv += ["--output", out / "table.txt" if command == "stability" else out]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err == ["error: capacity must be nonzero: the model divides by it"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # values that break arithmetic: zero, signed zero, unit, huge, subnormal,
@@ -391,14 +402,6 @@ class TestStability:
         assert run_cli("stability", "--scheme", "euler", "--h", 0.25) == 0
         out = capsys.readouterr().out
         assert "h_max=10" in out
-
-    @pytest.mark.parametrize("scheme", ["reference", "euler", "mickens",
-                                        "fractional"])
-    def test_zero_capacity_is_out_of_criterion(self, capsys, scheme):
-        assert run_cli("stability", "--scheme", scheme, "--capacity", 0) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row[:2] for row in rows] == ["E1", "E2", "E3"]
-        assert all("out-of-criterion [reason=capacity = 0" in row for row in rows)
 
     @pytest.mark.parametrize("flags,reason,labels", [
         (("--p", 1e-200, "--capacity", 1e-200), "p*capacity underflows to 0",

@@ -357,8 +357,8 @@ class TestBatch:
 
     def test_members_that_cannot_run_never_reach_the_core(self, params, s0,
                                                           monkeypatch):
-        # a negative start outranks a start that is not finite, which
-        # outranks capacity 0; only the last member is solved
+        # a negative start outranks a start that is not finite; only the
+        # last member is solved
         starts = []
 
         def core(fields, x0s, *rest, real=fractional._pece_history):
@@ -366,20 +366,16 @@ class TestBatch:
             return real(fields, x0s, *rest)
 
         monkeypatch.setattr(fractional, "_pece_history", core)
-        zero = ModelParams.unchecked(0.05, 0.3, 0.4, 0.0)
         cfg = FractionalConfig(sigma=0.9, h=0.25, t_end=10.0)
-        negative = State(-0.1, 0.3)
-        runs = [(params, cfg, negative), (zero, cfg, negative),
-                (zero, cfg, State(math.nan, 0.3)), (zero, cfg, s0),
-                (params, cfg, s0)]
-        neg, both, nan, cap0, good = caputo_solve_batch(runs)
+        runs = [(params, cfg, State(-0.1, 0.3)),
+                (params, cfg, State(-0.1, math.nan)),
+                (params, cfg, State(math.nan, 0.3)), (params, cfg, s0)]
+        neg, both, nan, good = caputo_solve_batch(runs)
         assert starts == [(s0.d, s0.l)]
         assert isinstance(neg, ValueError) and "non-negative" in str(neg)
         assert isinstance(both, ValueError) and "non-negative" in str(both)
         assert isinstance(nan, DivergenceError) and nan.step == 0
-        assert isinstance(cap0, DivergenceError)
-        assert cap0.step == 1 and cap0.time == 0.25
-        assert np.array_equal(good.states, caputo_solve(*runs[4]).states)
+        assert np.array_equal(good.states, caputo_solve(*runs[3]).states)
 
     @pytest.mark.parametrize("other", [dict(h=0.5), dict(t_end=50.0),
                                        dict(corrector_passes=2)])
@@ -466,9 +462,6 @@ PINNED_DIVERGENCES = [
      ModelParams(0.056855987345937775, 0.46495492358440327,
                  0.693078530037033, 1.0),
      State(0.21802292303380175, 0.27565498163756413), 388),
-    # zero capacity leaves the field undefined from the start
-    (0.95, 0.25, 1.0, ModelParams.unchecked(0.05, 0.3, 0.4, 0.0),
-     State(0.2, 0.3), 1),
 ]
 
 

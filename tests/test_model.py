@@ -37,6 +37,15 @@ class TestModelParams:
         with pytest.raises(ValueError, match="finite"):
             ModelParams.unchecked(value, 0.3, 0.4, 1.0)
 
+    @pytest.mark.parametrize("build", [ModelParams, ModelParams.unchecked],
+                             ids=["validated", "unchecked"])
+    @pytest.mark.parametrize("capacity", [0.0, -0.0, np.float64(0.0)],
+                             ids=["zero", "negative-zero", "numpy-zero"])
+    def test_zero_capacity_rejected(self, build, capacity):
+        # D/capacity has no value: no solver, Jacobian or region is defined
+        with pytest.raises(ValueError, match="capacity must be nonzero"):
+            build(0.05, 0.3, 0.4, capacity)
+
     def test_unchecked_bypasses_ordering(self):
         p = ModelParams.unchecked(0.3, 0.05, 0.4, 1.0)
         assert not p.validated

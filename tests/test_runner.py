@@ -410,10 +410,9 @@ class TestRunScenario:
                short_scenario(name="nsfd", scheme=MICKENS, outputs=both),
                short_scenario(name="frac_short", scheme=FRACTIONAL,
                               outputs=both),
-               # diverges too, at step 1, but later in scenario order
-               short_scenario(name="zero_capacity", scheme=FRACTIONAL,
-                              params=ModelParams.unchecked(0.05, 0.3, 0.4, 0.0),
-                              outputs=both)]
+               # diverges too, at step 636, but later in scenario order
+               Scenario(name="sigma_one", scheme=FRACTIONAL, h=0.25,
+                        t_end=300.0, sigma=1.0, outputs=both)]
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
             run_scenarios(scs, tmp_path)
         assert exc.value.step == 388
@@ -594,6 +593,13 @@ class TestLoadScenarios:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[a]\nd0 = nan\n")
         with pytest.raises(ConfigError, match="d0 must be finite, got nan"):
+            load_scenarios(cfg)
+
+    def test_zero_capacity_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[good]\n[zero]\ncapacity = 0\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg: scenario 'zero': "
+                           "capacity must be nonzero"):
             load_scenarios(cfg)
 
     def test_bad_scheme_wrapped_as_config_error(self, tmp_path):

@@ -30,6 +30,7 @@ from predprey import (
     jacobian_euler,
     jacobian_mickens,
     mickens_step,
+    rates,
     routh_hurwitz_quadratic,
     schur_cohn_quadratic,
 )
@@ -269,17 +270,6 @@ class TestClassifyEdgeCases:
 
     @pytest.mark.parametrize("scheme,arg", [(REFERENCE, None), (EULER, 0.25),
                                             (MICKENS, 0.25), (FRACTIONAL, 0.9)])
-    def test_zero_capacity_is_out_of_criterion(self, scheme, arg):
-        p = ModelParams.unchecked(0.05, 0.3, 0.4, 0.0)
-        reports = classify(p, scheme, arg)
-        assert [r.equilibrium.label for r in reports] == [E1, E2, E3]
-        for rep in reports:
-            assert rep.classification == OUT_OF_CRITERION
-            assert rep.jacobian is None
-            assert "capacity = 0" in rep.criterion_details["reason"]
-
-    @pytest.mark.parametrize("scheme,arg", [(REFERENCE, None), (EULER, 0.25),
-                                            (MICKENS, 0.25), (FRACTIONAL, 0.9)])
     def test_underflowing_product_is_out_of_criterion(self, scheme, arg):
         p = ModelParams.unchecked(0.05, 0.3, 1e-200, 1e-200)
         rep = _by_label(classify(p, scheme, arg))[E3]
@@ -370,6 +360,21 @@ def test_slow_sink_is_not_read_as_a_boundary(scheme):
             == [r.classification for r in classify(params, REFERENCE)])
 
 
+@pytest.mark.parametrize("scheme,h,multipliers", [
+    (MICKENS, 0.25, (1.0, 0.5)),
+    # phi^2 = 1e-600 underflows to 0, so no tolerance scaled by it is left
+    (EULER, 1e-300, (1.0, 0.0)),
+])
+def test_exact_unit_multiplier_is_a_boundary(scheme, h, multipliers):
+    """alpha = 0 puts a multiplier exactly at 1 at E1 and E2: P(1) = 0.0
+    is a boundary whatever the step, never a sink or a source."""
+    params = ModelParams.unchecked(0.0, 1e300, 0.4, 1.0)
+    for rep in classify(params, scheme, h)[:2]:
+        assert rep.criterion_details["P(1)"] == 0.0
+        assert tuple(z.real for z in rep.eigenvalues) == multipliers
+        assert rep.classification == NON_HYPERBOLIC
+
+
 # c2 in +-[1e-3, 1e3]; c1 and c0 in [-1e6, 1e6], often near the unit circle
 leading = st.tuples(st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0])).map(
     lambda pair: pair[0] * pair[1])
@@ -416,8 +421,27 @@ positive = st.one_of(st.sampled_from([x for x in EXTREMES if x > 0.0]),
 # phi = h = 1 and alpha*phi = -1: the Mickens denominator is 0 at E2
 @example(values=(-1.0, 0.0, 1.0, 1.0), scheme_arg=(MICKENS, 1.0))
 def test_classify_never_raises_on_unchecked_parameters(values, scheme_arg):
-    """Whatever the magnitudes, every equilibrium gets a report."""
+    """Whatever the magnitudes of a model that exists, every equilibrium
+    gets a report; construction fails exactly when the capacity is 0."""
+    if values[3] == 0.0:
+        with pytest.raises(ValueError, match="capacity"):
+            ModelParams.unchecked(*values)
+        return
     scheme, arg = scheme_arg
     with np.errstate(all="ignore"):
         reports = classify(ModelParams.unchecked(*values), scheme, arg)
     assert [r.equilibrium.label for r in reports] == [E1, E2, E3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.tuples(extreme, extreme, extreme, extreme.filter(bool)),
+       point=st.tuples(extreme, extreme), h=positive)
+def test_field_and_jacobians_never_raise(values, point, h):
+    """At any point of a model that exists the field and both flow
+    Jacobians evaluate; entries that are not finite are allowed."""
+    params = ModelParams.unchecked(*values)
+    # numpy's overflow and invalid-value warnings flag such entries
+    with np.errstate(all="ignore"):
+        rates(params, *point)
+        jacobian_continuous(params, State(*point))
+        jacobian_euler(params, h, State(*point))
