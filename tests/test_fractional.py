@@ -462,6 +462,9 @@ PINNED_DIVERGENCES = [
      ModelParams(0.056855987345937775, 0.46495492358440327,
                  0.693078530037033, 1.0),
      State(0.21802292303380175, 0.27565498163756413), 388),
+    # the smallest positive capacity overflows d/capacity from the start
+    (0.95, 0.25, 1.0, ModelParams.unchecked(0.05, 0.3, 0.4, 5e-324),
+     State(0.2, 0.3), 1),
 ]
 
 

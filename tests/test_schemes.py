@@ -202,6 +202,14 @@ class TestIterate:
         assert not [w for w in recwarn if issubclass(w.category,
                                                      StepSizeWarning)]
 
+    @pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
+    def test_zero_capacity_diverges_at_first_step(self, s0, scheme):
+        # capacity 0 no longer reaches step 1: the parameters are refused
+        # where they are built, before any loop runs
+        with pytest.raises(ValueError, match="capacity must be nonzero"):
+            iterate(ModelParams.unchecked(0.05, 0.3, 0.4, 0.0),
+                    SchemeConfig(h=0.25, t_end=10.0, scheme=scheme), s0)
+
     def test_zero_denominator_in_mid_run_diverges_at_its_step(self):
         # phi = h = 1: step 1 goes to (1, -1), where the prey denominator
         # 1 + l + 0*d/capacity is exactly 0
@@ -218,6 +226,20 @@ class TestIterate:
             iterate(p, SchemeConfig(h=1.0, t_end=10.0, scheme=MICKENS), s0)
         assert info.value.step == 1
         assert info.value.time == 1.0
+
+    @pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
+    @pytest.mark.parametrize("capacity, start", [
+        (0.0, State(np.float64(0.2), np.float64(0.3))),
+        (np.float64(0.0), State(0.2, 0.3)),
+    ])
+    def test_numpy_scalar_inputs_diverge_at_first_step(self, scheme, capacity,
+                                                       start):
+        # numpy scalars would divide by zero into inf or nan without
+        # raising; a zero capacity is refused before any division
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match="capacity must be nonzero"):
+            iterate(ModelParams.unchecked(0.05, 0.3, 0.4, capacity),
+                    SchemeConfig(h=0.25, t_end=10.0, scheme=scheme), start)
 
     def test_reference_divergence_detected(self):
         # inverted capacity turns logistic damping into superlinear growth
@@ -287,6 +309,13 @@ def test_mickens_stays_finite_and_non_negative(params, h, steps, start):
 
 
 STEPS = {REFERENCE: rk4_step, EULER: euler_step, MICKENS: mickens_step}
+
+
+@pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
+def test_single_step_at_zero_capacity_diverges_like_iterate(s0, scheme):
+    # a single step refuses capacity 0 with the error iterate gives
+    with pytest.raises(ValueError, match="capacity must be nonzero"):
+        STEPS[scheme](ModelParams.unchecked(0.05, 0.3, 0.4, 0.0), 0.25, s0)
 
 
 def test_divergence_error_survives_pickle():

@@ -270,6 +270,13 @@ class TestClassifyEdgeCases:
 
     @pytest.mark.parametrize("scheme,arg", [(REFERENCE, None), (EULER, 0.25),
                                             (MICKENS, 0.25), (FRACTIONAL, 0.9)])
+    def test_zero_capacity_is_out_of_criterion(self, scheme, arg):
+        # no model exists at capacity 0, so classify is never handed one
+        with pytest.raises(ValueError, match="capacity must be nonzero"):
+            classify(ModelParams.unchecked(0.05, 0.3, 0.4, 0.0), scheme, arg)
+
+    @pytest.mark.parametrize("scheme,arg", [(REFERENCE, None), (EULER, 0.25),
+                                            (MICKENS, 0.25), (FRACTIONAL, 0.9)])
     def test_underflowing_product_is_out_of_criterion(self, scheme, arg):
         p = ModelParams.unchecked(0.05, 0.3, 1e-200, 1e-200)
         rep = _by_label(classify(p, scheme, arg))[E3]
