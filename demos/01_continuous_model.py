@@ -7,8 +7,8 @@ point, which this script shows by table and (optionally) by plot.
 """
 import numpy as np
 
-from predprey import (ModelParams, State, classify, equilibria,
-                      rates, reference_solve)
+from predprey import (ModelParams, SchemeConfig, State, classify, equilibria,
+                      iterate, rates)
 
 params = ModelParams(alpha=0.05, beta=0.3, p=0.4, capacity=1.0)
 
@@ -27,7 +27,8 @@ for rep in classify(params, "reference", None):
 
 # three starts used throughout: interior, prey-free, prey-heavy
 starts = [State(0.2, 0.3), State(0.0, 0.5), State(0.85, 0.1)]
-runs = [reference_solve(params, s0, 300.0, 0.25) for s0 in starts]
+grid = SchemeConfig(h=0.25, t_end=300.0)  # RK4 reference by default
+runs = [iterate(params, grid, s0) for s0 in starts]
 
 print("\nterminal states after 300 time units (step 0.25)")
 target = equilibria(params)[2].point

@@ -8,7 +8,7 @@ repeller, and large steps can push populations negative outright.
 import numpy as np
 
 from predprey import (EULER, ModelParams, SchemeConfig, State, classify,
-                      equilibria, euler_step_bound, iterate, reference_solve)
+                      equilibria, euler_step_bound, iterate)
 
 params = ModelParams(alpha=0.05, beta=0.3, p=0.4, capacity=1.0)
 start = State(0.2, 0.3)
@@ -24,7 +24,7 @@ for h in (0.25, 5.0, 9.9, 10.5, 11.0):
     print(f"  h = {h:5.2f}: {rep.classification:15s} P(0) = {p0:.6g}")
 
 # first-order convergence: halving h halves the terminal error
-truth = reference_solve(params, start, 10.0, 0.0125).final
+truth = iterate(params, SchemeConfig(h=0.0125, t_end=10.0), start).final
 print("\nglobal error at t = 10 versus a fine reference run")
 prev = None
 for h in (0.4, 0.2, 0.1, 0.05):

@@ -8,9 +8,9 @@ converge to the classical trajectory.
 """
 import numpy as np
 
-from predprey import (FractionalConfig, ModelParams, State, caputo_solve,
-                      fractional_conservation_bound, mittag_leffler,
-                      reference_solve, scalar_caputo_solve)
+from predprey import (FractionalConfig, ModelParams, SchemeConfig, State,
+                      caputo_solve, fractional_conservation_bound, iterate,
+                      mittag_leffler, scalar_caputo_solve)
 
 params = ModelParams(alpha=0.05, beta=0.3, p=0.4, capacity=1.0)
 start = State(0.2, 0.3)
@@ -24,7 +24,7 @@ for sigma in (0.7, 0.95, 1.0):
     print(f"  sigma = {sigma:4.2f}: solver {y:.8f}  exact {exact:.8f}"
           f"  error {abs(y - exact):.1e}")
 
-ref = reference_solve(params, start, 50.0, 0.25)
+ref = iterate(params, SchemeConfig(h=0.25, t_end=50.0), start)
 print("\nsup distance to the classical run over [0, 50]")
 runs = {}
 for sigma in (0.80, 0.90, 0.95, 0.99):

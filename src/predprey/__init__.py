@@ -9,9 +9,8 @@ theorem-backed positivity/conservation checks come along for the ride.
 from .model import (E1, E2, E3, EULER, FRACTIONAL, MICKENS, REFERENCE, SCHEMES,
                     ModelParams, State, Trajectory, equilibria, rates)
 from .special import beta, gamma, mittag_leffler
-from .schemes import (DivergenceError, SchemeConfig, StepSizeWarning, euler_step,
-                      iterate, mickens_phi, mickens_step, reference_solve,
-                      rk4_step)
+from .schemes import (DivergenceError, SchemeConfig, StepSizeWarning, iterate,
+                      mickens_phi)
 from .fractional import (FractionalConfig, caputo_solve, caputo_solve_batch,
                          scalar_caputo_solve)
 from .stability import (NON_HYPERBOLIC, OUT_OF_CRITERION, SADDLE, SINK, SOURCE,
@@ -35,8 +34,8 @@ __all__ = [
     "E1", "E2", "E3", "EULER", "FRACTIONAL", "MICKENS", "REFERENCE", "SCHEMES",
     "ModelParams", "State", "Trajectory", "equilibria", "rates",
     "beta", "gamma", "mittag_leffler",
-    "DivergenceError", "SchemeConfig", "StepSizeWarning", "euler_step",
-    "iterate", "mickens_phi", "mickens_step", "reference_solve", "rk4_step",
+    "DivergenceError", "SchemeConfig", "StepSizeWarning", "iterate",
+    "mickens_phi",
     "FractionalConfig", "caputo_solve", "caputo_solve_batch",
     "fractional_conservation_bound", "scalar_caputo_solve",
     "NON_HYPERBOLIC", "OUT_OF_CRITERION", "SADDLE", "SINK", "SOURCE",

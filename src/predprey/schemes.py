@@ -60,27 +60,28 @@ def mickens_phi(params: ModelParams, h: float) -> float:
 
 
 def _stepper(scheme: str, params: ModelParams, h: float):
-    """The whole loop of a classical scheme, as run(flat, start, stop).
+    """The whole loop of a classical scheme, as run(flat).
 
     ``flat`` holds state k at ``flat[2k]`` and ``flat[2k + 1]``; run reads
-    the state just before ``start`` and writes each next state at
-    ``range(start, stop, 2)``.  The parameters, h and the step constants
-    are bound once as floats, and each scheme's update is written once,
-    inline in its loop.  Products are grouped exactly as the written-out
-    maps group them (alpha*h*x is (alpha*h)*x), so hoisting them changes
-    no bit.  Step constants that overflow (Mickens' phi once beta*h is
-    below about -709) give no finite first state: DivergenceError at step
-    1, before any loop is built.  A Mickens denominator that reaches zero
-    mid-run raises it at that step.
+    state 0 and writes every later state.  The parameters, h and the step
+    constants are bound once as floats, and each scheme's update is
+    written once, inline in its loop.  Products are grouped exactly as the
+    written-out maps group them (alpha*h*x is (alpha*h)*x), so hoisting
+    them changes no bit.  Mickens' predator update uses the advanced prey
+    value, which keeps that map positive from non-negative states.  Step
+    constants that overflow (Mickens' phi once beta*h is below about
+    -709) give no finite first state: DivergenceError at step 1, before
+    any loop is built.  A Mickens denominator that reaches zero mid-run
+    raises it at that step.
     """
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
                                 params.capacity)
     if scheme == EULER:
         ah, ph, bh = alpha * h, p * h, beta * h
 
-        def run(flat, start, stop):
-            d, l = flat[start - 2], flat[start - 1]
-            for i in range(start, stop, 2):
+        def run(flat):
+            d, l = flat[0], flat[1]
+            for i in range(2, len(flat), 2):
                 d, l = (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
                         l * (ph * d - bh + 1.0))
                 flat[i] = d
@@ -93,10 +94,10 @@ def _stepper(scheme: str, params: ModelParams, h: float):
         xi, aphi, pphi = 1.0 + alpha * phi, alpha * phi, p * phi
         decay = 1.0 + beta * phi
 
-        def run(flat, start, stop):
-            d, l = flat[start - 2], flat[start - 1]
+        def run(flat):
+            d, l = flat[0], flat[1]
             try:
-                for i in range(start, stop, 2):
+                for i in range(2, len(flat), 2):
                     d = xi * d / (1.0 + pphi * l + aphi * d / capacity)
                     l = (pphi * d + 1.0) * l / decay
                     flat[i] = d
@@ -107,9 +108,9 @@ def _stepper(scheme: str, params: ModelParams, h: float):
         f = rate_field(params)
         hh = 0.5 * h
 
-        def run(flat, start, stop):
-            d, l = flat[start - 2], flat[start - 1]
-            for i in range(start, stop, 2):
+        def run(flat):
+            d, l = flat[0], flat[1]
+            for i in range(2, len(flat), 2):
                 k1d, k1l = f(d, l)
                 k2d, k2l = f(d + hh * k1d, l + hh * k1l)
                 k3d, k3l = f(d + hh * k2d, l + hh * k2l)
@@ -119,32 +120,6 @@ def _stepper(scheme: str, params: ModelParams, h: float):
                 flat[i] = d
                 flat[i + 1] = l
     return run
-
-
-def _one_step(scheme: str, params: ModelParams, h: float, s: State) -> State:
-    """Step 1 of ``scheme`` from ``s``, by the loop :func:`iterate` runs."""
-    flat = [s.d, s.l, 0.0, 0.0]
-    _stepper(scheme, params, h)(flat, 2, 4)
-    return State(flat[2], flat[3])
-
-
-def euler_step(params: ModelParams, h: float, s: State) -> State:
-    """One explicit Euler update of (d, l)."""
-    return _one_step(EULER, params, h, s)
-
-
-def mickens_step(params: ModelParams, h: float, s: State) -> State:
-    """One nonstandard finite-difference update.
-
-    The predator update uses the already-advanced prey value, which is
-    what makes the map unconditionally positive for non-negative states.
-    """
-    return _one_step(MICKENS, params, h, s)
-
-
-def rk4_step(params: ModelParams, h: float, s: State) -> State:
-    """One classical fourth-order Runge-Kutta update."""
-    return _one_step(REFERENCE, params, h, s)
 
 
 def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
@@ -173,15 +148,9 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
     states[0] = s0.d, s0.l
     # a flat memoryview takes float items much faster than numpy rows
     with memoryview(states.reshape(-1)) as flat:
-        run(flat, 2, 2 * n + 2)
+        run(flat)
     if cfg.scheme == REFERENCE:
         finite = np.isfinite(states).all(axis=1)
         if not finite.all():
             raise DivergenceError.at_step(int(np.argmin(finite)), cfg.h)
     return Trajectory(times, states, cfg.scheme, params, cfg)
-
-
-def reference_solve(params: ModelParams, s0: State, t_end: float,
-                    h: float) -> Trajectory:
-    """Ground-truth trajectory by fixed-step RK4 on the shared grid."""
-    return iterate(params, SchemeConfig(h=h, t_end=t_end, scheme=REFERENCE), s0)

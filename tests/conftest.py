@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from predprey import ModelParams, State
+from predprey import ModelParams, SchemeConfig, State, iterate
 
 # the benchmark corpus's failing draw (bench/workloads.py, Corpus.DEFECT):
 # solved alone at h = 0.25 to t = 100 it diverges at step 388
@@ -22,10 +22,15 @@ def s0():
     return State(0.2, 0.3)
 
 
+def one_step(scheme, params, h, s):
+    """State 1 of ``scheme`` from ``s``: a one-step :func:`iterate`."""
+    return iterate(params, SchemeConfig(h=h, t_end=h, scheme=scheme), s).final
+
+
 @st.composite
-def valid_params(draw):
+def valid_params(draw, capacity=st.floats(0.05, 20.0)):
     """Parameters with 0 < alpha < beta < p*capacity < 1."""
-    capacity = draw(st.floats(0.05, 20.0))
+    capacity = draw(capacity)
     pc = draw(st.floats(1e-3, 0.999))
     beta = pc * draw(st.floats(0.01, 0.99))
     alpha = beta * draw(st.floats(0.01, 0.99))

@@ -39,7 +39,6 @@ from predprey import (
     trajectory_to_csv,
 )
 from predprey.cli import main as cli_main
-from predprey.schemes import reference_solve
 from predprey.stability import characteristic_quadratic, jacobian_euler
 
 PARAMS = ModelParams(alpha=0.05, beta=0.3, p=0.4, capacity=1.0)
@@ -194,7 +193,7 @@ def test_c08_fractional_solver_consistency():
     assert e_coarse <= 5e-3
     assert e_coarse / e_fine >= 2.0
     # (c) distance to the classical run shrinks as the order tends to 1
-    ref50 = reference_solve(PARAMS, START, 50.0, 0.25)
+    ref50 = iterate(PARAMS, SchemeConfig(h=0.25, t_end=50.0), START)
     dists = []
     for sigma in (0.80, 0.90, 0.95, 0.99):
         traj = caputo_solve(PARAMS, FractionalConfig(sigma=sigma, h=0.25,
@@ -222,7 +221,7 @@ def test_c09_criterion_oracles():
 
 
 def test_c10_euler_order():
-    truth = reference_solve(PARAMS, START, 10.0, 0.0125).final
+    truth = iterate(PARAMS, SchemeConfig(h=0.0125, t_end=10.0), START).final
     errs = []
     for h in (0.1, 0.05):
         fin = iterate(PARAMS, SchemeConfig(h=h, t_end=10.0,

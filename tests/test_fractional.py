@@ -20,17 +20,18 @@ from predprey import (
     DivergenceError,
     FractionalConfig,
     ModelParams,
+    SchemeConfig,
     State,
     caputo_solve,
     caputo_solve_batch,
     fractional_conservation_bound,
+    iterate,
     mittag_leffler,
     scalar_caputo_solve,
 )
 from predprey import fractional
 from predprey.fractional import _pece_weights
 from predprey.model import rates
-from predprey.schemes import reference_solve
 
 from conftest import DEFECT_INITIAL, DEFECT_PARAMS, DEFECT_SIGMA, valid_params
 
@@ -473,7 +474,7 @@ class TestSystemSolver:
         frac = caputo_solve(params,
                             FractionalConfig(sigma=1.0, h=0.01, t_end=10.0),
                             s0)
-        ref = reference_solve(params, s0, 10.0, 0.01)
+        ref = iterate(params, SchemeConfig(h=0.01, t_end=10.0), s0)
         np.testing.assert_array_equal(frac.times, ref.times)
         assert np.abs(frac.states - ref.states).max() <= 1e-6
 
@@ -521,7 +522,7 @@ class TestSystemSolver:
 
     def test_order_approaches_integer_limit(self, params, s0):
         # distance to the reference run shrinks as sigma tends to 1
-        ref = reference_solve(params, s0, 50.0, 0.25)
+        ref = iterate(params, SchemeConfig(h=0.25, t_end=50.0), s0)
         dists = []
         for sigma in (0.80, 0.90, 0.95, 0.99):
             traj = caputo_solve(params,

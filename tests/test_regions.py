@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from predprey import (
     EULER,
@@ -22,6 +24,8 @@ from predprey import (
     mickens_region,
 )
 from predprey.regions import RegionSpec
+
+from conftest import valid_params
 
 
 def _traj(scheme, times, states):
@@ -217,3 +221,63 @@ class TestCheckTrajectory:
         traj = _traj(EULER, [0.0, 2.0], [[0.2, 0.3], [0.9, 0.6]])
         report = check_trajectory(traj, region)
         assert not report.ok
+
+
+# a start in (0, 1.5]^2, and validated parameters at capacity 1
+positive_start = st.builds(State, st.floats(0.0, 1.5, exclude_min=True),
+                           st.floats(0.0, 1.5, exclude_min=True))
+unit_capacity_params = valid_params(capacity=st.just(1.0))
+
+
+def _holds(params, scheme, h, start, region):
+    traj = iterate(params, SchemeConfig(h=h, t_end=300.0, scheme=scheme),
+                   start)
+    assert np.isfinite(traj.states).all()
+    report = check_trajectory(traj, region)
+    assert report.ok, (report.violated_quantity, report.observed,
+                       report.bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=unit_capacity_params, h=st.sampled_from([0.05, 0.25, 1.0]),
+       start=positive_start)
+def test_reference_stays_in_the_flow_region(params, h, start):
+    """Flow region theorem: for 0 < alpha < beta < p*capacity < 1 and a
+    non-negative start, D stays non-negative and at most M = max(D(0),
+    capacity), and L >= 0 with D + L <= (alpha + 4 beta)/(4 beta) M.
+    Drawn at capacity 1: at small capacities the RK4 step itself can
+    leave the region (capacity 0.0625 from (1, 1) at h = 0.25 overshoots
+    the D bound at step 1)."""
+    _holds(params, REFERENCE, h, start, continuous_region(params, start))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=unit_capacity_params, h=st.floats(0.05, 50.0),
+       start=positive_start)
+def test_mickens_stays_in_its_region(params, h, start):
+    """Mickens region theorem: for 0 < alpha < beta < p < 1 at capacity 1,
+    any step h > 0 and a non-negative start, D and L stay non-negative,
+    D <= max(D(0), 1) and D + L stays below
+    (4 alpha^2 + xi beta^2)/(4 alpha beta), xi = 1 + alpha phi(h)."""
+    _holds(params, MICKENS, h, start, mickens_region(params, h))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=valid_params(), frac_h=st.floats(0.05, 0.99),
+       frac_w=st.floats(0.0, 1.0, exclude_min=True),
+       frac_d=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_euler_stays_in_its_region(params, frac_h, frac_w, frac_d):
+    """Euler region theorem: for 0 < alpha < beta < p*capacity < 1, a step
+    with beta h < 1 and capacity < (1 + alpha h)/(p h) (drawn up to 50),
+    and a positive start with W(0) <= capacity, D and L stay non-negative
+    and W stays at most the capacity and the positivity threshold
+    (1 + alpha h)/(p h)."""
+    # both step conditions hold for every h below this bound
+    h = frac_h * min(1.0 / params.beta,
+                     1.0 / (params.p * params.capacity - params.alpha), 50.0)
+    w0 = frac_w * params.capacity
+    start = State(frac_d * w0, (1.0 - frac_d) * w0)
+    assume(params.beta * h < 1.0
+           and params.capacity < (1.0 + params.alpha * h) / (params.p * h)
+           and start.d + start.l <= params.capacity)
+    _holds(params, EULER, h, start, euler_region(params, h))

@@ -25,15 +25,11 @@ from predprey import (
     State,
     StepSizeWarning,
     equilibria,
-    euler_step,
     iterate,
     mickens_phi,
-    mickens_step,
-    rk4_step,
 )
-from predprey.schemes import reference_solve
 
-from conftest import valid_params
+from conftest import one_step, valid_params
 
 FLOW_T0125 = np.array([0.19805170291487033, 0.29184806446158102])
 FLOW_T025 = np.array([0.19620371110464386, 0.28389070330181207])
@@ -98,18 +94,18 @@ class TestSchemeConfig:
 
 class TestEulerStep:
     def test_reference_point(self, params, s0):
-        s1 = euler_step(params, 0.25, s0)
+        s1 = one_step(EULER, params, 0.25, s0)
         assert s1.d == pytest.approx(0.196, rel=1e-15)
         assert s1.l == pytest.approx(0.2835, rel=1e-15)
 
     def test_equilibria_are_fixed_points(self, params):
         for eq in equilibria(params):
-            s1 = euler_step(params, 0.25, eq.point)
+            s1 = one_step(EULER, params, 0.25, eq.point)
             assert s1.d == eq.point.d
             assert s1.l == eq.point.l
 
     def test_first_order_local_error(self, params, s0):
-        s1 = euler_step(params, 0.25, s0)
+        s1 = one_step(EULER, params, 0.25, s0)
         err = np.abs(np.array([s1.d, s1.l]) - FLOW_T025).max()
         assert 1e-5 < err < 1e-2
 
@@ -133,13 +129,13 @@ class TestMickensStep:
         assert mickens_phi(p, 0.25) == 0.25
 
     def test_reference_point(self, params, s0):
-        s1 = mickens_step(params, 0.25, s0)
+        s1 = one_step(MICKENS, params, 0.25, s0)
         assert s1.d == pytest.approx(0.19626331907009184, rel=1e-14)
         assert s1.l == pytest.approx(0.28507406332501756, rel=1e-14)
 
     def test_equilibria_are_fixed_points(self, params):
         for eq in equilibria(params):
-            s1 = mickens_step(params, 0.25, eq.point)
+            s1 = one_step(MICKENS, params, 0.25, eq.point)
             assert s1.d == pytest.approx(eq.point.d, abs=5e-16)
             assert s1.l == pytest.approx(eq.point.l, abs=5e-16)
 
@@ -147,7 +143,7 @@ class TestMickensStep:
     def test_positivity_any_step_size(self, params, h):
         rng = np.random.default_rng(7)
         for d0, l0 in rng.uniform(0.0, 1.0, size=(50, 2)):
-            s1 = mickens_step(params, h, State(d0, l0))
+            s1 = one_step(MICKENS, params, h, State(d0, l0))
             assert s1.d >= 0.0
             assert s1.l >= 0.0
 
@@ -155,21 +151,21 @@ class TestMickensStep:
         # beta*h = -1000: exp(-beta*h) in mickens_phi overflows
         p = ModelParams.unchecked(0.05, -1000.0, 0.4, 1.0)
         with pytest.raises(DivergenceError) as info:
-            mickens_step(p, 1.0, s0)
+            one_step(MICKENS, p, 1.0, s0)
         assert info.value.step == 1
         assert info.value.time == 1.0
 
 
 class TestRk4Step:
     def test_single_step_accuracy(self, params, s0):
-        s1 = rk4_step(params, 0.25, s0)
+        s1 = one_step(REFERENCE, params, 0.25, s0)
         err = np.abs(np.array([s1.d, s1.l]) - FLOW_T025).max()
         assert err <= 2e-9
 
     def test_local_order_five(self, params, s0):
         # halving h shrinks the one-step error by about 2^5
-        full = rk4_step(params, 0.25, s0)
-        half = rk4_step(params, 0.125, s0)
+        full = one_step(REFERENCE, params, 0.25, s0)
+        half = one_step(REFERENCE, params, 0.125, s0)
         e_full = np.abs(np.array([full.d, full.l]) - FLOW_T025).max()
         e_half = np.abs(np.array([half.d, half.l]) - FLOW_T0125).max()
         assert e_full / e_half == pytest.approx(32.0, rel=0.35)
@@ -202,14 +198,6 @@ class TestIterate:
         assert not [w for w in recwarn if issubclass(w.category,
                                                      StepSizeWarning)]
 
-    @pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
-    def test_zero_capacity_diverges_at_first_step(self, s0, scheme):
-        # capacity 0 no longer reaches step 1: the parameters are refused
-        # where they are built, before any loop runs
-        with pytest.raises(ValueError, match="capacity must be nonzero"):
-            iterate(ModelParams.unchecked(0.05, 0.3, 0.4, 0.0),
-                    SchemeConfig(h=0.25, t_end=10.0, scheme=scheme), s0)
-
     def test_zero_denominator_in_mid_run_diverges_at_its_step(self):
         # phi = h = 1: step 1 goes to (1, -1), where the prey denominator
         # 1 + l + 0*d/capacity is exactly 0
@@ -227,20 +215,6 @@ class TestIterate:
         assert info.value.step == 1
         assert info.value.time == 1.0
 
-    @pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
-    @pytest.mark.parametrize("capacity, start", [
-        (0.0, State(np.float64(0.2), np.float64(0.3))),
-        (np.float64(0.0), State(0.2, 0.3)),
-    ])
-    def test_numpy_scalar_inputs_diverge_at_first_step(self, scheme, capacity,
-                                                       start):
-        # numpy scalars would divide by zero into inf or nan without
-        # raising; a zero capacity is refused before any division
-        with np.errstate(all="raise"), pytest.raises(
-                ValueError, match="capacity must be nonzero"):
-            iterate(ModelParams.unchecked(0.05, 0.3, 0.4, capacity),
-                    SchemeConfig(h=0.25, t_end=10.0, scheme=scheme), start)
-
     def test_reference_divergence_detected(self):
         # inverted capacity turns logistic damping into superlinear growth
         p = ModelParams.unchecked(1.0, 0.5, 0.1, -1.0)
@@ -254,8 +228,8 @@ class TestIterate:
 
 class TestLongRuns:
     def test_reference_grid_refinement_agrees(self, params, s0):
-        coarse = reference_solve(params, s0, 300.0, 0.25).final
-        fine = reference_solve(params, s0, 300.0, 0.025).final
+        coarse = iterate(params, SchemeConfig(h=0.25, t_end=300.0), s0).final
+        fine = iterate(params, SchemeConfig(h=0.025, t_end=300.0), s0).final
         gap = max(abs(coarse.d - fine.d), abs(coarse.l - fine.l))
         assert gap <= 1e-8
 
@@ -263,7 +237,7 @@ class TestLongRuns:
         # The damped spiral is still 8.7e-3 from the coexistence point at
         # t = 300 (decay envelope exp(-0.01875 t) with amplitude above 2),
         # a level confirmed against 40-digit integration.  Freeze it.
-        final = reference_solve(params, s0, 300.0, 0.25).final
+        final = iterate(params, SchemeConfig(h=0.25, t_end=300.0), s0).final
         dist = max(abs(final.d - E3_POINT[0]), abs(final.l - E3_POINT[1]))
         assert dist == pytest.approx(0.008727705705879552, abs=1e-9)
 
@@ -308,16 +282,6 @@ def test_mickens_stays_finite_and_non_negative(params, h, steps, start):
     assert (states >= 0.0).all()
 
 
-STEPS = {REFERENCE: rk4_step, EULER: euler_step, MICKENS: mickens_step}
-
-
-@pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
-def test_single_step_at_zero_capacity_diverges_like_iterate(s0, scheme):
-    # a single step refuses capacity 0 with the error iterate gives
-    with pytest.raises(ValueError, match="capacity must be nonzero"):
-        STEPS[scheme](ModelParams.unchecked(0.05, 0.3, 0.4, 0.0), 0.25, s0)
-
-
 def test_divergence_error_survives_pickle():
     exc = pickle.loads(pickle.dumps(DivergenceError.at_step(3, 0.25)))
     assert isinstance(exc, DivergenceError)
@@ -340,8 +304,10 @@ unchecked_value = st.one_of(
                                   unchecked_value, unchecked_value)),
        h=st.floats(1e-6, 100.0),
        start=st.builds(State, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
-def test_single_step_is_row_one_of_iterate(scheme, params, h, start):
-    """Bit for bit, or the same DivergenceError at step 1."""
+def test_one_step_returns_a_state_or_diverges_at_step_one(scheme, params, h,
+                                                          start):
+    """A state (finite under the reference scheme), or DivergenceError at
+    step 1, and never a numpy warning."""
     if isinstance(params, tuple):
         # construction fails exactly when the capacity is zero
         if params[3] == 0.0:
@@ -349,21 +315,14 @@ def test_single_step_is_row_one_of_iterate(scheme, params, h, start):
                 ModelParams.unchecked(*params)
             return
         params = ModelParams.unchecked(*params)
-    try:
-        single = STEPS[scheme](params, h, start)
-    except DivergenceError as exc:
-        single = exc.step
     with warnings.catch_warnings():
+        warnings.simplefilter("error")
         warnings.simplefilter("ignore", StepSizeWarning)
         try:
-            traj = iterate(params, SchemeConfig(h=h, t_end=h, scheme=scheme),
-                           start)
+            s1 = one_step(scheme, params, h, start)
         except DivergenceError as exc:
-            assert exc.step == 1
-            # only iterate's reference scheme rejects a non-finite state
-            assert single == 1 or (scheme == REFERENCE and not np.isfinite(
-                [single.d, single.l]).all())
+            assert (exc.step, exc.time) == (1, h)
             return
-    assert isinstance(single, State)
-    assert (np.array([single.d, single.l]).tobytes()
-            == traj.states[1].tobytes())
+    assert isinstance(s1, State)
+    if scheme == REFERENCE:
+        assert np.isfinite([s1.d, s1.l]).all()

@@ -24,19 +24,17 @@ from predprey import (
     Quadratic,
     State,
     classify,
-    euler_step,
     euler_step_bound,
     jacobian_continuous,
     jacobian_euler,
     jacobian_mickens,
-    mickens_step,
     rates,
     routh_hurwitz_quadratic,
     schur_cohn_quadratic,
 )
 from predprey.stability import characteristic_quadratic
 
-from conftest import valid_params
+from conftest import one_step, valid_params
 
 
 def _by_label(reports):
@@ -140,8 +138,8 @@ class TestJacobians:
         for d, l in rng.uniform(0.05, 0.95, size=(5, 2)):
             jac = jacobian_mickens(params, h, State(d, l))
             for col, (dd, dl) in enumerate([(eps, 0.0), (0.0, eps)]):
-                hi = mickens_step(params, h, State(d + dd, l + dl))
-                lo = mickens_step(params, h, State(d - dd, l - dl))
+                hi = one_step(MICKENS, params, h, State(d + dd, l + dl))
+                lo = one_step(MICKENS, params, h, State(d - dd, l - dl))
                 fd = np.array([hi.d - lo.d, hi.l - lo.l]) / (2.0 * eps)
                 np.testing.assert_allclose(jac[:, col], fd, rtol=2e-7,
                                            atol=1e-10)
@@ -151,8 +149,8 @@ class TestJacobians:
         d, l = 0.3, 0.2
         jac = jacobian_euler(params, 0.25, State(d, l))
         for col, (dd, dl) in enumerate([(eps, 0.0), (0.0, eps)]):
-            hi = euler_step(params, 0.25, State(d + dd, l + dl))
-            lo = euler_step(params, 0.25, State(d - dd, l - dl))
+            hi = one_step(EULER, params, 0.25, State(d + dd, l + dl))
+            lo = one_step(EULER, params, 0.25, State(d - dd, l - dl))
             fd = np.array([hi.d - lo.d, hi.l - lo.l]) / (2.0 * eps)
             np.testing.assert_allclose(jac[:, col], fd, rtol=2e-7, atol=1e-10)
 
@@ -267,13 +265,6 @@ class TestClassifyEdgeCases:
         assert rep.classification == OUT_OF_CRITERION
         assert rep.jacobian is None
         assert "p = 0" in rep.criterion_details["reason"]
-
-    @pytest.mark.parametrize("scheme,arg", [(REFERENCE, None), (EULER, 0.25),
-                                            (MICKENS, 0.25), (FRACTIONAL, 0.9)])
-    def test_zero_capacity_is_out_of_criterion(self, scheme, arg):
-        # no model exists at capacity 0, so classify is never handed one
-        with pytest.raises(ValueError, match="capacity must be nonzero"):
-            classify(ModelParams.unchecked(0.05, 0.3, 0.4, 0.0), scheme, arg)
 
     @pytest.mark.parametrize("scheme,arg", [(REFERENCE, None), (EULER, 0.25),
                                             (MICKENS, 0.25), (FRACTIONAL, 0.9)])
