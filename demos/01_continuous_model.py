@@ -8,13 +8,13 @@ point, which this script shows by table and (optionally) by plot.
 import numpy as np
 
 from predprey import (ModelParams, SchemeConfig, State, classify, equilibria,
-                      iterate, rates)
+                      iterate, rate_field)
 
 params = ModelParams(alpha=0.05, beta=0.3, p=0.4, capacity=1.0)
 
 print("equilibria")
 for eq in equilibria(params):
-    rate = rates(params, eq.point.d, eq.point.l)
+    rate = rate_field(params)(eq.point.d, eq.point.l)
     print(f"  {eq.label} = ({eq.point.d:.6g}, {eq.point.l:.6g})"
           f"   |f| = {np.hypot(*rate):.2e}")
 

@@ -7,7 +7,7 @@ theorem-backed positivity/conservation checks come along for the ride.
 """
 
 from .model import (E1, E2, E3, EULER, FRACTIONAL, MICKENS, REFERENCE, SCHEMES,
-                    ModelParams, State, Trajectory, equilibria, rates)
+                    ModelParams, State, Trajectory, equilibria, rate_field)
 from .special import beta, gamma, mittag_leffler
 from .schemes import (DivergenceError, SchemeConfig, StepSizeWarning, iterate,
                       mickens_phi)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "E1", "E2", "E3", "EULER", "FRACTIONAL", "MICKENS", "REFERENCE", "SCHEMES",
-    "ModelParams", "State", "Trajectory", "equilibria", "rates",
+    "ModelParams", "State", "Trajectory", "equilibria", "rate_field",
     "beta", "gamma", "mittag_leffler",
     "DivergenceError", "SchemeConfig", "StepSizeWarning", "iterate",
     "mickens_phi",

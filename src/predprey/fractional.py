@@ -220,13 +220,10 @@ def caputo_solve_batch(runs) -> list:
         xs = _pece_history([rate_field(p) for p in params],
                            [(s0.d, s0.l) for s0 in starts],
                            [cfg.sigma for cfg in cfgs], h, n, passes)
-        finite = np.isfinite(xs).all(axis=2)
         times = np.arange(n + 1, dtype=float) * h
         for m, i in enumerate(members):
-            if finite[m].all():
-                out[i] = Trajectory(times, xs[m], FRACTIONAL, params[m], cfgs[m])
-            else:
-                out[i] = DivergenceError.at_step(int(np.argmin(finite[m])), h)
+            out[i] = (DivergenceError.first_in(xs[m], h) or
+                      Trajectory(times, xs[m], FRACTIONAL, params[m], cfgs[m]))
     return out
 
 
@@ -251,6 +248,7 @@ def scalar_caputo_solve(lambda_coeff: float, sigma: float, y0: float,
     Uses the identical predictor-corrector machinery as the system solver;
     mainly useful for order-of-convergence studies against the
     Mittag-Leffler solution y(t) = y0 * E_sigma(lambda * t^sigma).
+    Raises DivergenceError if the solution turns non-finite.
     """
     cfg = FractionalConfig(sigma=sigma, h=h, t_end=t_end,
                            corrector_passes=corrector_passes)
@@ -261,4 +259,7 @@ def scalar_caputo_solve(lambda_coeff: float, sigma: float, y0: float,
 
     ys = _pece_history([f], [(float(y0), 0.0)], [sigma], h, cfg.n_steps(),
                        corrector_passes)
+    exc = DivergenceError.first_in(ys[0], h)
+    if exc is not None:
+        raise exc
     return ys[0, :, 0]

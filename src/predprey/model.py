@@ -137,11 +137,6 @@ def rate_field(params: ModelParams):
     return f
 
 
-def rates(params: ModelParams, d: float, l: float):
-    """Field components at (d, l) as plain floats, no validity checks."""
-    return rate_field(params)(d, l)
-
-
 def equilibria(params: ModelParams):
     """All fixed points: extinction E1, prey-only E2, coexistence E3.
 

@@ -13,7 +13,7 @@ from .model import (EULER, MICKENS, REFERENCE, ModelParams, State, Trajectory,
 
 
 class DivergenceError(RuntimeError):
-    """An integration produced a non-finite state; see :meth:`at_step`."""
+    """An integration produced a non-finite state at some grid step."""
 
     time = step = None
 
@@ -24,6 +24,14 @@ class DivergenceError(RuntimeError):
         exc = cls(f"non-finite state at t = {t:g} (step {step})")
         exc.time, exc.step = t, step
         return exc
+
+    @classmethod
+    def first_in(cls, states, h: float):
+        """The error for the first row of ``states`` (one state per grid
+        step) that is not all finite, or None when every value is."""
+        finite = np.isfinite(states)
+        if not finite.all():
+            return cls.at_step(int(np.argmin(finite.all(axis=1))), h)
 
 
 class StepSizeWarning(UserWarning):
@@ -128,10 +136,9 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
     The number of steps is ceil(t_end/h); the returned trajectory has one
     more point than that.  Euler runs under validated parameters warn when
     1 - beta*h <= 0 (predator positivity is then no longer guaranteed).
-    Only the reference scheme raises DivergenceError on non-finite states;
-    Euler is left free to misbehave since exposing that is part of the
-    point of having it.  Mickens step constants that overflow raise
-    DivergenceError at step 1 before the grid is allocated, and a Mickens
+    Every scheme raises DivergenceError at the first state that is not
+    finite, the start included.  Mickens step constants that overflow
+    raise it at step 1 before the grid is allocated, and a Mickens
     denominator that reaches zero raises it at that step.
     """
     if cfg.scheme == EULER and params.validated:
@@ -149,8 +156,7 @@ def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
     # a flat memoryview takes float items much faster than numpy rows
     with memoryview(states.reshape(-1)) as flat:
         run(flat)
-    if cfg.scheme == REFERENCE:
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
-            raise DivergenceError.at_step(int(np.argmin(finite)), cfg.h)
+    exc = DivergenceError.first_in(states, cfg.h)
+    if exc is not None:
+        raise exc
     return Trajectory(times, states, cfg.scheme, params, cfg)

@@ -76,7 +76,7 @@ class SchurCohnResult:
     """The three unit-circle predicates for a monic quadratic P.
 
     All roots lie strictly inside the unit circle iff P(1) > 0,
-    P(-1) > 0, and |P(0)| < 1.  Truthiness follows the verdict.
+    P(-1) > 0, and |P(0)| < 1.
     """
 
     at_one: float
@@ -87,9 +87,6 @@ class SchurCohnResult:
     def inside_unit_circle(self) -> bool:
         return (self.at_one > 0.0 and self.at_minus_one > 0.0
                 and abs(self.at_zero) < 1.0)
-
-    def __bool__(self):
-        return self.inside_unit_circle
 
 
 def schur_cohn_quadratic(q: Quadratic) -> SchurCohnResult:
@@ -183,7 +180,7 @@ def _classify_unit_circle(sc: SchurCohnResult, phi: float) -> str:
     # the circle (a complex pair); a saddle's real roots can multiply to 1
     if abs(abs(sc.at_zero) - 1.0) < BOUNDARY_TOL:
         return NON_HYPERBOLIC
-    return SINK if sc else SOURCE
+    return SINK if sc.inside_unit_circle else SOURCE
 
 
 def classify(params: ModelParams, scheme: str, h_or_sigma=None):

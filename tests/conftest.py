@@ -10,6 +10,9 @@ DEFECT_PARAMS = ModelParams(0.056855987345937775, 0.46495492358440327,
                             0.693078530037033, 1.0)
 DEFECT_INITIAL = State(0.21802292303380175, 0.27565498163756413)
 
+# E_{0.95}(-1), 40-digit series evaluation rounded to double
+ML_095_AT_M1 = 0.37157362003067881
+
 
 @pytest.fixture
 def params():

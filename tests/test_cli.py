@@ -152,6 +152,16 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_divergent_euler_run_exits_one_and_writes_nothing(self, tmp_path,
+                                                              capsys):
+        with pytest.warns(StepSizeWarning):
+            code = run_cli("simulate", "--scheme", "euler", "--h", 20,
+                           "--t-end", 3000, "--output", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite state at t = 200 (step 10)\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("scheme,size", [("reference", "218. TiB"),
                                              ("fractional", "437. TiB")])
     def test_grid_too_large_for_memory_exits_two(self, tmp_path, capsys,
@@ -341,6 +351,7 @@ def _cli_calls(draw):
 @example(argv=["sweep", "--l0=1e-9", "--alpha=1e9", "--param=sigma",
                "--values=1e-320,0.3"])
 @example(argv=["simulate", "--name=a\nb"])
+@example(argv=["simulate", "--scheme=euler", "--h=20", "--t-end=3000"])
 @example(argv=["compare", ("a.csv", "t,D,L\n0,inf,0.2\n"),
                ("b.csv", "t,D,L\n0,inf,0.2\n")])
 @example(argv=["compare", ("a.csv", "t,D,L\n0,0,1e308\n"),
@@ -351,7 +362,7 @@ def test_every_call_keeps_the_contract(argv):
     # exit 0, or exit 1 or 2 with one error: line (under --strict, exit 1
     # may print violation: lines instead); no traceback, no warning but
     # StepSizeWarning, nothing written on exit 2, every file written has
-    # a printable name and every CSV written starts from a finite state
+    # a printable name and every value of every CSV written is finite
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for name, text in (a for a in argv if isinstance(a, tuple)):
@@ -385,8 +396,8 @@ def test_every_call_keeps_the_contract(argv):
             assert written == []
         assert all(p.name.isprintable() for p in written)
         for csv in (p for p in written if p.suffix == ".csv"):
-            start = csv.read_text().split("\n")[1]
-            assert all(map(math.isfinite, map(float, start.split(","))))
+            for row in csv.read_text().splitlines()[1:]:
+                assert all(map(math.isfinite, map(float, row.split(","))))
 
 
 class TestStability:

@@ -31,9 +31,10 @@ from predprey import (
 )
 from predprey import fractional
 from predprey.fractional import _pece_weights
-from predprey.model import rates
+from predprey.model import rate_field
 
-from conftest import DEFECT_INITIAL, DEFECT_PARAMS, DEFECT_SIGMA, valid_params
+from conftest import (DEFECT_INITIAL, DEFECT_PARAMS, DEFECT_SIGMA,
+                      ML_095_AT_M1, valid_params)
 
 # c[m] = (m+1)^1.95 + (m-1)^1.95 - 2 m^1.95 at sigma = 0.95
 KERNEL_095 = {1: 1.8637453156993822, 2: 1.7914667723626688,
@@ -42,7 +43,6 @@ KERNEL_095 = {1: 1.8637453156993822, 2: 1.7914667723626688,
 # a_{0,n+1} = n^1.95 - (n - 0.95)(n+1)^0.95
 FIRST_WEIGHT_095 = {0: 0.95, 1: 0.90340636710751544, 5: 0.84934067445228762,
                     100: 0.73550223899254286, 1000: 0.65571293356153199}
-ML_095_AT_M1 = 0.37157362003067881
 # E_sigma(-1): the scalar test equation's solution at t = 1
 ML_AT_M1 = {0.5: 0.42758357615580700, 0.8: 0.38694857861897685,
             0.95: ML_095_AT_M1, 1.0: 0.36787944117144232}
@@ -91,7 +91,8 @@ H_SYSTEM = 0.1     # stays bounded at every sigma out to 4000 steps
 
 
 def _direct_system(params, s0, n, sigma, passes):
-    return _direct_pece_history(lambda x: np.array(rates(params, x[0], x[1])),
+    f = rate_field(params)
+    return _direct_pece_history(lambda x: np.array(f(x[0], x[1])),
                                 np.array([s0.d, s0.l]), sigma, H_SYSTEM, n,
                                 passes)
 
@@ -265,6 +266,12 @@ class TestScalarSolver:
                                    0.01, 260, 2)
         assert ys.shape == (261,)
         assert _rowwise_rel_diff(ys, ref) <= 1e-12
+
+    def test_divergence_reported(self):
+        # the growing solution overflows a double at step 572
+        with pytest.raises(DivergenceError) as exc:
+            scalar_caputo_solve(5.0, 0.9, 1.0, 0.25, 300.0)
+        assert (exc.value.step, exc.value.time) == (572, 143.0)
 
 
 @pytest.mark.parametrize("passes", [1, 3])
@@ -459,10 +466,7 @@ PINNED_DIVERGENCES = [
     # default parameters already blow up at sigma = 1, h = 0.25
     (1.0, 0.25, 300.0, DEFAULT_PARAMS, State(0.2, 0.3), 636),
     # the benchmark corpus's failing draw
-    (0.9995984281287198, 0.25, 100.0,
-     ModelParams(0.056855987345937775, 0.46495492358440327,
-                 0.693078530037033, 1.0),
-     State(0.21802292303380175, 0.27565498163756413), 388),
+    (DEFECT_SIGMA, 0.25, 100.0, DEFECT_PARAMS, DEFECT_INITIAL, 388),
     # the smallest positive capacity overflows d/capacity from the start
     (0.95, 0.25, 1.0, ModelParams.unchecked(0.05, 0.3, 0.4, 5e-324),
      State(0.2, 0.3), 1),

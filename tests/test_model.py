@@ -12,7 +12,7 @@ from predprey import (
     State,
     Trajectory,
     equilibria,
-    rates,
+    rate_field,
 )
 
 
@@ -71,13 +71,13 @@ def test_state_stored_as_floats():
 class TestVectorField:
     def test_reference_point_values(self, params, s0):
         # 0.05*0.2*0.8 - 0.4*0.2*0.3 and 0.4*0.2*0.3 - 0.3*0.3
-        dd, dl = rates(params, s0.d, s0.l)
+        dd, dl = rate_field(params)(s0.d, s0.l)
         assert dd == pytest.approx(-0.016, rel=1e-14)
         assert dl == pytest.approx(-0.066, rel=1e-14)
 
     def test_equilibria_annihilate_field(self, params):
         for eq in equilibria(params):
-            dd, dl = rates(params, eq.point.d, eq.point.l)
+            dd, dl = rate_field(params)(eq.point.d, eq.point.l)
             assert abs(dd) <= 1e-15
             assert abs(dl) <= 1e-15
 

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predprey import (
@@ -225,6 +225,22 @@ class TestIterate:
         assert info.value.time == pytest.approx(
             info.value.step * 0.5, rel=1e-12)
 
+    def test_euler_divergence_detected(self):
+        # 1 - beta*h = -5: the predator flips sign and grows each step
+        # until it overflows to inf at step 10
+        cfg = SchemeConfig(h=20.0, t_end=3000.0, scheme=EULER)
+        with pytest.warns(StepSizeWarning), \
+                pytest.raises(DivergenceError) as info:
+            iterate(DEFAULT_PARAMS, cfg, DEFAULT_INITIAL)
+        assert (info.value.step, info.value.time) == (10, 200.0)
+
+    @pytest.mark.parametrize("scheme", [REFERENCE, EULER, MICKENS])
+    def test_non_finite_start_diverges_at_step_zero(self, params, scheme):
+        with pytest.raises(DivergenceError) as info:
+            iterate(params, SchemeConfig(h=0.25, t_end=5.0, scheme=scheme),
+                    State(math.nan, 0.3))
+        assert (info.value.step, info.value.time) == (0, 0.0)
+
 
 class TestLongRuns:
     def test_reference_grid_refinement_agrees(self, params, s0):
@@ -304,10 +320,13 @@ unchecked_value = st.one_of(
                                   unchecked_value, unchecked_value)),
        h=st.floats(1e-6, 100.0),
        start=st.builds(State, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+# d/capacity overflows, so Euler's first prey value is -inf
+@example(scheme=EULER, params=(0.05, 0.3, 0.4, 1e-310), h=1.0,
+         start=State(0.2, 0.3))
 def test_one_step_returns_a_state_or_diverges_at_step_one(scheme, params, h,
                                                           start):
-    """A state (finite under the reference scheme), or DivergenceError at
-    step 1, and never a numpy warning."""
+    """A finite state, or DivergenceError at step 1, and never a numpy
+    warning."""
     if isinstance(params, tuple):
         # construction fails exactly when the capacity is zero
         if params[3] == 0.0:
@@ -324,5 +343,4 @@ def test_one_step_returns_a_state_or_diverges_at_step_one(scheme, params, h,
             assert (exc.step, exc.time) == (1, h)
             return
     assert isinstance(s1, State)
-    if scheme == REFERENCE:
-        assert np.isfinite([s1.d, s1.l]).all()
+    assert np.isfinite([s1.d, s1.l]).all()

@@ -10,9 +10,10 @@ import pytest
 
 from predprey import beta, gamma, mittag_leffler
 
+from conftest import ML_095_AT_M1
+
 # 40-digit values, correctly rounded to doubles
 GAMMA_HALF = 1.7724538509055159
-ML_095_AT_M1 = 0.37157362003067881
 ML_05_AT_M1 = 0.42758357615580700      # equals e * erfc(1)
 ML_095_AT_M25 = 0.098886431223165548
 ML_15_05_AT_2 = 4.1636279886572214

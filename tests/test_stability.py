@@ -28,7 +28,7 @@ from predprey import (
     jacobian_continuous,
     jacobian_euler,
     jacobian_mickens,
-    rates,
+    rate_field,
     routh_hurwitz_quadratic,
     schur_cohn_quadratic,
 )
@@ -82,9 +82,9 @@ class TestCriteria:
 
     def test_unit_circle_verdicts(self):
         inside = schur_cohn_quadratic(Quadratic(1.0, 0.0, -0.25))
-        assert inside.inside_unit_circle and bool(inside)
+        assert inside.inside_unit_circle
         outside = schur_cohn_quadratic(Quadratic(1.0, -1.6, 0.15))
-        assert not outside    # root beyond 1
+        assert not outside.inside_unit_circle    # root beyond 1
 
     def test_unit_circle_predicates(self):
         sc = schur_cohn_quadratic(Quadratic(1.0, -0.5, 0.06))
@@ -440,6 +440,6 @@ def test_field_and_jacobians_never_raise(values, point, h):
     params = ModelParams.unchecked(*values)
     # numpy's overflow and invalid-value warnings flag such entries
     with np.errstate(all="ignore"):
-        rates(params, *point)
+        rate_field(params)(*point)
         jacobian_continuous(params, State(*point))
         jacobian_euler(params, h, State(*point))
