@@ -207,26 +207,31 @@ def _at(traj: Trajectory, grid) -> np.ndarray:
 def compare(traj_a: Trajectory, traj_b: Trajectory) -> CompareResult:
     """Sup-norm and final-time distance between two trajectories.
 
-    Both are read (see :func:`_at`) at the ends of their shared range and
-    at the first one's times strictly inside it, so the terminal distance
-    is at the range's end; grids that differ are flagged in the result.
-    Equal cells are 0 apart (the same infinity too), a NaN cell gives NaN
-    and a gap past the float range inf.  Only disjoint ranges are an error.
+    On one grid the states are compared as they stand.  Grids that differ
+    are flagged in the result, and both are read (see :func:`_at`) at the
+    ends of their shared range and at the first one's times strictly inside
+    it, so the terminal distance is at the range's end.  Equal cells are 0
+    apart (the same infinity too), a NaN cell gives NaN and a gap past the
+    float range inf.  Only disjoint ranges are an error.
     """
     ta, tb = traj_a.times, traj_b.times
-    lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
-    if hi < lo:
-        raise ValueError("trajectories cover disjoint time ranges")
-    # np.concatenate, not np.union1d: np.unique imports numpy.ma
-    grid = np.concatenate(([lo], ta[(ta > lo) & (ta < hi)], [hi]))
-    a_states, b_states = _at(traj_a, grid), _at(traj_b, grid)
+    resampled = not np.array_equal(ta, tb)
+    if resampled:
+        lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
+        if hi < lo:
+            raise ValueError("trajectories cover disjoint time ranges")
+        # np.concatenate, not np.union1d: np.unique imports numpy.ma
+        grid = np.concatenate(([lo], ta[(ta > lo) & (ta < hi)], [hi]))
+        a_states, b_states = _at(traj_a, grid), _at(traj_b, grid)
+    else:
+        a_states, b_states = traj_a.states, traj_b.states
     with np.errstate(over="ignore"):
         gap = np.subtract(a_states, b_states, out=np.zeros(a_states.shape),
                           where=a_states != b_states)
     pointwise = np.abs(gap).max(axis=1)
     return CompareResult(sup_distance=float(pointwise.max()),
                          terminal_distance=float(pointwise[-1]),
-                         resampled=not np.array_equal(ta, tb))
+                         resampled=resampled)
 
 
 # {{{ artifact writing

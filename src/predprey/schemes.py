@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (EULER, MICKENS, REFERENCE, ModelParams, State, Trajectory,
-                    grid_steps, rate_field)
+                    grid_steps)
 
 
 class DivergenceError(RuntimeError):
@@ -72,15 +72,17 @@ def _stepper(scheme: str, params: ModelParams, h: float):
 
     ``flat`` holds state k at ``flat[2k]`` and ``flat[2k + 1]``; run reads
     state 0 and writes every later state.  The parameters, h and the step
-    constants are bound once as floats, and each scheme's update is
-    written once, inline in its loop.  Products are grouped exactly as the
-    written-out maps group them (alpha*h*x is (alpha*h)*x), so hoisting
-    them changes no bit.  Mickens' predator update uses the advanced prey
-    value, which keeps that map positive from non-negative states.  Step
-    constants that overflow (Mickens' phi once beta*h is below about
-    -709) give no finite first state: DivergenceError at step 1, before
-    any loop is built.  A Mickens denominator that reaches zero mid-run
-    raises it at that step.
+    constants are bound once as floats, and each scheme's update (Euler,
+    Mickens, and the four stages of RK4) is written once, inline in its
+    loop, so no loop makes a Python call per step.  Products are grouped
+    exactly as the written-out maps group them (alpha*h*x is
+    (alpha*h)*x), so hoisting them changes no bit; each RK4 stage repeats
+    model.rate_field's grouping.  Mickens' predator update uses the
+    advanced prey value, which keeps that map positive from non-negative
+    states.  Step constants that overflow (Mickens' phi once beta*h is
+    below about -709) give no finite first state: DivergenceError at step
+    1, before any loop is built.  A Mickens denominator that reaches zero
+    mid-run raises it at that step.
     """
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
                                 params.capacity)
@@ -113,16 +115,22 @@ def _stepper(scheme: str, params: ModelParams, h: float):
             except ZeroDivisionError as exc:
                 raise DivergenceError.at_step(i // 2, h) from exc
     else:
-        f = rate_field(params)
         hh = 0.5 * h
 
         def run(flat):
             d, l = flat[0], flat[1]
             for i in range(2, len(flat), 2):
-                k1d, k1l = f(d, l)
-                k2d, k2l = f(d + hh * k1d, l + hh * k1l)
-                k3d, k3l = f(d + hh * k2d, l + hh * k2l)
-                k4d, k4l = f(d + h * k3d, l + h * k3l)
+                pdl = p * d * l
+                k1d, k1l = alpha * d * (1.0 - d / capacity) - pdl, pdl - beta * l
+                x, y = d + hh * k1d, l + hh * k1l
+                pdl = p * x * y
+                k2d, k2l = alpha * x * (1.0 - x / capacity) - pdl, pdl - beta * y
+                x, y = d + hh * k2d, l + hh * k2l
+                pdl = p * x * y
+                k3d, k3l = alpha * x * (1.0 - x / capacity) - pdl, pdl - beta * y
+                x, y = d + h * k3d, l + h * k3l
+                pdl = p * x * y
+                k4d, k4l = alpha * x * (1.0 - x / capacity) - pdl, pdl - beta * y
                 d, l = (d + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0,
                         l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
                 flat[i] = d

@@ -16,9 +16,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import predprey
-from predprey import (EULER, PRESETS, SCHEMES, Scenario, State,
-                      StepSizeWarning, load_scenarios, preset_scenarios,
-                      runner, solve_scenario, trajectory_to_csv)
+from predprey import (EULER, PRESETS, SCHEMES, Scenario, StepSizeWarning,
+                      load_scenarios, preset_scenarios, runner,
+                      solve_scenario, trajectory_to_csv)
 from predprey.cli import _scenarios_for, build_parser, main
 
 

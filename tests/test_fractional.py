@@ -26,7 +26,6 @@ from predprey import (
     caputo_solve_batch,
     fractional_conservation_bound,
     iterate,
-    mittag_leffler,
     scalar_caputo_solve,
 )
 from predprey import fractional

@@ -197,16 +197,20 @@ class TestCsvRoundTrip:
             "5be3a09d6b6703dea5972bd50f9dec6d94de07d92b1e50748b150fe8f7e946e4")
 
 
+def _any_states(n):
+    """n states from every finite double, plus inf, -inf, -0.0, subnormals
+    and nan."""
+    cell = st.floats(allow_nan=False) | st.just(math.nan)
+    return st.lists(st.tuples(cell, cell), min_size=n, max_size=n).map(
+        lambda rows: np.array(rows).reshape(-1, 2))
+
+
 @st.composite
 def _any_trajectory(draw):
-    """Strictly increasing finite times; states from every finite double,
-    plus inf, -inf, -0.0, subnormals and nan."""
+    """Strictly increasing finite times, and any states (see _any_states)."""
     times = sorted(draw(st.sets(st.floats(allow_nan=False, allow_infinity=False),
                                 min_size=1, max_size=20)))
-    cell = st.floats(allow_nan=False) | st.just(math.nan)
-    states = draw(st.lists(st.tuples(cell, cell), min_size=len(times),
-                           max_size=len(times)))
-    return Trajectory(np.array(times), np.array(states).reshape(-1, 2), "csv")
+    return Trajectory(np.array(times), draw(_any_states(len(times))), "csv")
 
 
 @settings(max_examples=200, deadline=None)
@@ -337,6 +341,34 @@ def test_compare_fails_only_on_disjoint_ranges_and_never_warns(a, b):
         cells = np.abs(b.states[~np.isnan(b.states)])
         assert (res.sup_distance <= cells.max(initial=0.0)
                 or math.isnan(res.sup_distance))
+
+
+@st.composite
+def _shared_grid_pair(draw):
+    """Two trajectories on one grid, with any states."""
+    a = draw(_any_trajectory())
+    return a, Trajectory(a.times, draw(_any_states(len(a))), "csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_shared_grid_pair())
+@example(pair=(Trajectory(np.array([1.0]), [[math.inf, 0.5]], "csv"),
+               Trajectory(np.array([1.0]), [[math.inf, -0.5]], "csv")))
+@example(pair=(Trajectory(np.array([0.0, 1.0]), [[-1e308, math.nan],
+                                                 [math.inf, 2.0]], "csv"),
+               Trajectory(np.array([0.0, 1.0]), [[1e308, 0.0],
+                                                 [-math.inf, 2.0]], "csv")))
+def test_compare_on_one_grid_reads_the_states(pair):
+    """On a shared grid the distance is the row-wise sup of |a - b|, equal
+    cells 0 apart, and nothing is resampled."""
+    a, b = pair
+    with np.errstate(all="ignore"):
+        rows = np.where(a.states == b.states, 0.0,
+                        np.abs(a.states - b.states)).max(axis=1)
+    res = compare(a, b)
+    assert res.resampled is False
+    assert (res.sup_distance.hex(), res.terminal_distance.hex()) == (
+        float(rows.max()).hex(), float(rows[-1]).hex())
 
 
 class TestRunScenario:

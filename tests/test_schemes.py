@@ -27,6 +27,7 @@ from predprey import (
     equilibria,
     iterate,
     mickens_phi,
+    rate_field,
 )
 
 from conftest import one_step, valid_params
@@ -344,3 +345,46 @@ def test_one_step_returns_a_state_or_diverges_at_step_one(scheme, params, h,
             return
     assert isinstance(s1, State)
     assert np.isfinite([s1.d, s1.l]).all()
+
+
+def _rk4_step_through_rate_field(params, h, s):
+    """One RK4 step that calls rate_field for each stage, grouped as the
+    reference loop groups its stage arguments and its combination."""
+    f = rate_field(params)
+    hh = 0.5 * h
+    d, l = s.d, s.l
+    k1d, k1l = f(d, l)
+    k2d, k2l = f(d + hh * k1d, l + hh * k1l)
+    k3d, k3l = f(d + hh * k2d, l + hh * k2l)
+    k4d, k4l = f(d + h * k3d, l + h * k3l)
+    return (d + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0,
+            l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
+
+
+# overflowing, subnormal and zero magnitudes of either sign, or moderate ones
+extreme_value = st.one_of(
+    st.sampled_from([1e308, -1e308, 1e-320, -1e-320, 5e-324, -5e-324, 0.0]),
+    st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.one_of(
+           valid_params(),
+           st.builds(ModelParams.unchecked, extreme_value, extreme_value,
+                     extreme_value, extreme_value.filter(bool))),
+       h=st.one_of(st.floats(1e-6, 100.0), st.sampled_from([1e-320, 1e300])),
+       start=st.builds(State, extreme_value, extreme_value))
+@example(params=ModelParams.unchecked(1e308, 0.3, 0.4, 5e-324), h=0.25,
+         start=State(1e-320, 0.3))
+def test_rk4_stages_repeat_the_rate_field(params, h, start):
+    """The reference loop writes the field inline in its four stages; one
+    step of it equals, bit for bit, the step built from rate_field, or both
+    are non-finite and the loop diverges at step 1."""
+    want = _rk4_step_through_rate_field(params, h, start)
+    if all(map(math.isfinite, want)):
+        got = one_step(REFERENCE, params, h, start)
+        assert (got.d.hex(), got.l.hex()) == (want[0].hex(), want[1].hex())
+    else:
+        with pytest.raises(DivergenceError) as info:
+            one_step(REFERENCE, params, h, start)
+        assert (info.value.step, info.value.time) == (1, h)
