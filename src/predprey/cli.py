@@ -107,10 +107,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one number")
     base = Scenario.from_fields("sweep", _overrides(args))
     scheme = FRACTIONAL if args.param == "sigma" else base.scheme
-    scenarios = [replace(base, name=f"{base.name}_{args.param}{v:g}",
-                         scheme=scheme, **{args.param: v})
-                 for v in values]
-    paths, _ = run_batch(scenarios, args.output, f"{base.name}_{args.param}",
+    scenarios = {}
+    for v in values:
+        # %g where it reads back as v, so distinct values get distinct files
+        label = f"{v:g}" if float(f"{v:g}") == v else repr(v)
+        if label in scenarios:
+            raise ConfigError(f"--values repeats {label}")
+        name = f"{base.name}_{args.param}{label}"
+        scenarios[label] = replace(base, name=name, scheme=scheme,
+                                   **{args.param: v})
+    paths, _ = run_batch(list(scenarios.values()), args.output,
+                         f"{base.name}_{args.param}",
                          title=f"{args.param} sweep", phase=False)
     for p in paths:
         if p.suffix == ".csv":

@@ -72,7 +72,8 @@ def _stepper(scheme: str, params: ModelParams, h: float):
 
     ``flat`` holds state k at ``flat[2k]`` and ``flat[2k + 1]``; run reads
     state 0 and writes every later state.  The parameters, h and the step
-    constants are bound once as floats, and each scheme's update (Euler,
+    constants are bound once as floats, as run's default arguments so
+    that its loop reads them as locals, and each scheme's update (Euler,
     Mickens, and the four stages of RK4) is written once, inline in its
     loop, so no loop makes a Python call per step.  Products are grouped
     exactly as the written-out maps group them (alpha*h*x is
@@ -89,7 +90,7 @@ def _stepper(scheme: str, params: ModelParams, h: float):
     if scheme == EULER:
         ah, ph, bh = alpha * h, p * h, beta * h
 
-        def run(flat):
+        def run(flat, ah=ah, ph=ph, bh=bh, capacity=capacity):
             d, l = flat[0], flat[1]
             for i in range(2, len(flat), 2):
                 d, l = (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
@@ -104,7 +105,8 @@ def _stepper(scheme: str, params: ModelParams, h: float):
         xi, aphi, pphi = 1.0 + alpha * phi, alpha * phi, p * phi
         decay = 1.0 + beta * phi
 
-        def run(flat):
+        def run(flat, xi=xi, aphi=aphi, pphi=pphi, decay=decay,
+                capacity=capacity):
             d, l = flat[0], flat[1]
             try:
                 for i in range(2, len(flat), 2):
@@ -117,7 +119,8 @@ def _stepper(scheme: str, params: ModelParams, h: float):
     else:
         hh = 0.5 * h
 
-        def run(flat):
+        def run(flat, alpha=alpha, beta=beta, p=p, capacity=capacity, h=h,
+                hh=hh):
             d, l = flat[0], flat[1]
             for i in range(2, len(flat), 2):
                 pdl = p * d * l

@@ -1,4 +1,8 @@
+import math
+import os
+
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from predprey import ModelParams, SchemeConfig, State, iterate
@@ -12,6 +16,30 @@ DEFECT_INITIAL = State(0.21802292303380175, 0.27565498163756413)
 
 # E_{0.95}(-1), 40-digit series evaluation rounded to double
 ML_095_AT_M1 = 0.37157362003067881
+
+
+# multiplies every hypothesis test's max_examples; the default 1 runs each
+# as its @settings says, and e.g. 20 searches twenty times as long
+EXAMPLES_SCALE = float(os.environ.get("PREDPREY_EXAMPLES_SCALE", "1"))
+
+
+def pytest_collection_modifyitems(items):
+    if EXAMPLES_SCALE == 1.0:
+        return
+    if not 0.0 < EXAMPLES_SCALE < math.inf:
+        raise pytest.UsageError("PREDPREY_EXAMPLES_SCALE must be a positive "
+                                f"number, got {EXAMPLES_SCALE}")
+    scaled = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        # @given reads the test's settings from this attribute at each call;
+        # a parametrized test's items share one function, scaled once
+        old = getattr(test, "_hypothesis_internal_use_settings", None)
+        if old is None or test in scaled:
+            continue
+        scaled.add(test)
+        test._hypothesis_internal_use_settings = settings(
+            old, max_examples=max(1, round(old.max_examples * EXAMPLES_SCALE)))
 
 
 @pytest.fixture

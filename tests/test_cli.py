@@ -660,6 +660,28 @@ class TestSweep:
         csv = tmp_path / "sweep_sigma0.9.csv"
         assert csv.exists()
 
+    @pytest.mark.parametrize("param,values,labels", [
+        ("sigma", "0.9,0.9000001", ["0.9", "0.9000001"]),
+        ("h", "0.25,0.2500001", ["0.25", "0.2500001"]),
+        ("sigma", "0.5,0.123456789", ["0.5", "0.123456789"]),
+    ])
+    def test_close_values_get_their_own_files(self, tmp_path, capsys, param,
+                                              values, labels):
+        # %g writes 0.9000001 as 0.9, so a %g-only name collides
+        code = run_cli("sweep", "--param", param, "--values", values,
+                       "--scheme", "euler", "--t-end", 0.5,
+                       "--output", tmp_path)
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / f"sweep_{param}{label}.csv") for label in labels]
+
+    def test_repeated_value_exits_two(self, tmp_path, capsys):
+        code = run_cli("sweep", "--param", "h", "--values", "0.25,0.5,0.250",
+                       "--output", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: --values repeats 0.25\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_values_exit_two(self, tmp_path, capsys):
         code = run_cli("sweep", "--param", "h", "--values", ",",
                        "--output", tmp_path)

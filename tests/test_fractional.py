@@ -335,6 +335,40 @@ def test_batch_members_equal_solo_solves(draws):
         assert _same_outcome(_outcome(result), _solo_outcome(*run))
 
 
+def _first_nonfinite_row(states):
+    rows = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    return rows[0] if rows.size else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       n=st.one_of(st.integers(1, 300), st.sampled_from([127, 128, 129, 256,
+                                                         257])),
+       passes=st.integers(1, 3),
+       lam=st.one_of(st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3)),
+       y0=st.one_of(st.sampled_from([0.0, -0.7, 2500.0]),
+                    st.floats(-10.0, 10.0)),
+       h=st.sampled_from([0.01, 0.25]))
+def test_lone_loop_equals_batch_loop(sigma, n, passes, lam, y0, h):
+    # a member alone takes the lone loop, beside a second member the batch
+    # loop; a scalar-style field reaches both as scalar_caputo_solve does
+    def f(y, _):
+        return lam * y, 0.0
+
+    def g(y, _):
+        return -y, 0.0
+
+    lone = fractional._pece_history([f], [(y0, 0.0)], [sigma], h, n,
+                                    passes)[0]
+    pair = fractional._pece_history([f, g], [(y0, 0.0), (1.0, 0.0)],
+                                    [sigma, 0.75], h, n, passes)[0]
+    if lone.tobytes() != pair.tobytes():
+        first = _first_nonfinite_row(lone)
+        assert first is not None
+        assert first == _first_nonfinite_row(pair)
+        assert lone[:first].tobytes() == pair[:first].tobytes()
+
+
 class TestBatch:
     def _runs(self, params, sigmas, starts, h=0.25, t_end=100.0):
         return [(params, FractionalConfig(sigma=s, h=h, t_end=t_end), x0)
