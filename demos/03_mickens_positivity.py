@@ -6,8 +6,6 @@ update divides by its loss terms instead of subtracting them.  The
 result is a map of positive states to positive states that keeps the
 same equilibria and their stability for every h > 0.
 """
-import numpy as np
-
 from predprey import (MICKENS, ModelParams, SchemeConfig, State, classify,
                       equilibria, iterate, mickens_phi, mickens_region)
 

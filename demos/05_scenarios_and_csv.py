@@ -8,7 +8,7 @@ two schemes on the same grid.
 import tempfile
 from pathlib import Path
 
-from predprey import (Scenario, State, compare, load_scenarios, run_scenario,
+from predprey import (Scenario, compare, load_scenarios, run_scenario,
                       run_scenarios, solve_scenario, trajectory_from_csv,
                       trajectory_to_csv, write_gnuplot_script)
 

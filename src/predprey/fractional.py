@@ -16,8 +16,9 @@ indices do not cancel catastrophically.  Each step sums the sources in
 its own aligned block of 128 directly, and the older ones arrive in dyadic
 blocks summed by FFT, so an n-step run costs O(n log^2 n).  The solver
 core steps two-component states (the scalar test equation rides along as
-a second component that stays zero) on Python floats.  A lone run steps
-in a loop of its own; a batch steps its members one at a time in another.
+a second component that stays zero) on Python floats.  One step loop
+serves every batch size; only the product that takes the near sums is
+chosen by the member count.
 """
 
 from __future__ import annotations
@@ -104,15 +105,14 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     update runs on Python floats one member at a time, so each member's
     numbers do not depend on the batch it is solved in.
 
-    Two step loops share the FFT block events, the weights and the
-    window.  A batch (B >= 2) takes the near sums of all members in one
-    stacked matmul per step and then updates each member in turn.  A lone
-    member (B = 1: caputo_solve, scalar_caputo_solve) takes a loop of its
-    own that holds its constants in locals and its near sums in one
-    np.dot, which saves about a tenth of a 12 000-step solve; a batch
-    keeps its stacked matmul, because one np.dot per member costs it more
-    than it saves.  Both loops group every sum alike, so a member's bits
-    do not depend on which loop ran it.
+    One step loop serves every batch size B: each step takes the near
+    sums of all members in one product and then updates each member in
+    turn.  The product is chosen at set-up: np.dot on the 2-D views of a
+    lone member (B = 1: caputo_solve, scalar_caputo_solve), a stacked
+    matmul for a batch.  Both reach the same BLAS product, so a member's
+    bits do not depend on its batch; np.dot costs less per step than a
+    stacked matmul of one, and one np.dot per member would cost a batch
+    more than its one matmul.
     """
     fft = np.fft    # numpy may load this submodule only on first use
     members = [(f, d0, l0, h ** s / math.gamma(s + 1.0),
@@ -139,20 +139,15 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     # b + pos sums the sources b .. b + pos, the weights near[:, :, -1 - pos:]
     # against window[:, :pos + 1], and writes F_{b+pos+1} from item 2*pos + 2
     window = np.zeros((len(sigmas), _NEAR + 1, 2))
-    lone = len(sigmas) == 1
-    if lone:
-        # np.dot on these 2-D views reaches the same BLAS product as the
-        # batch's matmul, so both loops give a member the same bits
-        (f, d0, l0, scale_p, scale_c), = members
-        positions = [(near[0, :, -1 - pos:], window[0, :pos + 1], 2 * pos + 2)
-                     for pos in range(_NEAR)]
+    sums = np.empty((len(sigmas), 2, 2))
+    if len(sigmas) == 1:
+        product, lags, heads, out = np.dot, near[0], window[0], sums[0]
     else:
-        positions = [(near[:, :, -1 - pos:], window[:, :pos + 1], 2 * pos + 2)
-                     for pos in range(_NEAR)]
+        product, lags, heads, out = np.matmul, near, window, sums
+    positions = [(lags[..., -1 - pos:], heads[..., :pos + 1, :], 2 * pos + 2)
+                 for pos in range(_NEAR)]
     stride = 2 * _NEAR + 2
     passes = range(corrector_passes)
-    sums = np.empty((len(sigmas), 2, 2))
-    lone_sums = sums[0]
     spectra = {}
     # flat memoryviews read and write float items much faster than numpy
     # rows; member i's slots in row k of hist start at 4*(k*B + i), its
@@ -185,27 +180,8 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                         far = fft.irfft(srcs[:, c] * spec[:, k], 2 * size)
                         pending[k, c, :, b + 1:b + 1 + rows] += \
                             far[:, size:size + rows]
-            if lone:
-                # the batch loop below at B = 1, step for step
-                for lag, head, slot in positions[:n_steps - b]:
-                    np.dot(lag, head, lone_sums)
-                    d = d0 + scale_p * (near_sums[0] + flat[at])
-                    l = l0 + scale_p * (near_sums[1] + flat[at + 1])
-                    cd = near_sums[2] + flat[at + 2]
-                    cl = near_sums[3] + flat[at + 3]
-                    fd, fl = f(d, l)
-                    for _ in passes:
-                        d = d0 + scale_c * (cd + fd)
-                        l = l0 + scale_c * (cl + fl)
-                        fd, fl = f(d, l)
-                    flat[at] = d
-                    flat[at + 1] = l
-                    win[slot] = fd
-                    win[slot + 1] = fl
-                    at += 4
-                continue
             for lag, head, slot in positions[:n_steps - b]:
-                np.matmul(lag, head, out=sums)
+                product(lag, head, out)
                 q = 0
                 for f, d0, l0, scale_p, scale_c in members:
                     # near + far, the far part pending in this member's

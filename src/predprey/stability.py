@@ -108,7 +108,13 @@ def jacobian_euler(params: ModelParams, h: float, s: State) -> np.ndarray:
 
 
 def jacobian_mickens(params: ModelParams, h: float, s: State) -> np.ndarray:
-    """Jacobian of the NSFD map, accounting for the sequential prey update."""
+    """Jacobian of the NSFD map, accounting for the sequential prey update.
+
+    Unlike its siblings, which return entries that are not finite, it
+    raises on Python floats: ZeroDivisionError where the denominator is
+    zero and OverflowError where its square overflows.  ``classify``
+    reports both as ``out-of-criterion``.
+    """
     a, b, p, c = params.alpha, params.beta, params.p, params.capacity
     phi = mickens_phi(params, h)
     d, l = s.d, s.l

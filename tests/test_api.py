@@ -8,6 +8,7 @@ from pathlib import Path
 import predprey
 
 PACKAGE = Path(predprey.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -25,6 +26,38 @@ def test_no_module_imports_a_private_sibling_name():
                 continue
             found += [f"{path.name}: {alias.name} from {'.' * node.level}{module}"
                       for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def _unused_imports(tree):
+    """Names an import binds that the module never reads; names listed in
+    ``__all__`` count as read, and ``from __future__`` is skipped."""
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_unused_imports():
+    found = []
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{folder.name}/{path.name}:{line}: {name}"
+                      for line, name in _unused_imports(tree)]
     assert found == []
 
 

@@ -350,8 +350,10 @@ def _first_nonfinite_row(states):
                     st.floats(-10.0, 10.0)),
        h=st.sampled_from([0.01, 0.25]))
 def test_lone_loop_equals_batch_loop(sigma, n, passes, lam, y0, h):
-    # a member alone takes the lone loop, beside a second member the batch
-    # loop; a scalar-style field reaches both as scalar_caputo_solve does
+    """A member alone takes its near sums by np.dot on 2-D views, beside a
+    second member by the batch's stacked matmul; both products must give
+    it the same bits.  A scalar-style field reaches the step loop as
+    scalar_caputo_solve's does."""
     def f(y, _):
         return lam * y, 0.0
 

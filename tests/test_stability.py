@@ -291,6 +291,24 @@ class TestClassifyEdgeCases:
             assert rep.jacobian is None
             assert "overflows" in rep.criterion_details["reason"]
 
+    @pytest.mark.parametrize("params,h,point,error,reason", [
+        # phi = h = 1 and alpha*phi = -1: the denominator is 0 at E2
+        (ModelParams.unchecked(-1.0, 0.0, 1.0, 1.0), 1.0, State(1.0, 0.0),
+         ZeroDivisionError, "divides by zero"),
+        # the denominator squared overflows at E2
+        (ModelParams.unchecked(1e200, 0.3, 0.4, 1e-200), 0.25,
+         State(1e-200, 0.0), OverflowError, "overflows"),
+    ])
+    def test_mickens_jacobian_raises_where_classify_reports(
+            self, params, h, point, error, reason):
+        with pytest.raises(error):
+            jacobian_mickens(params, h, point)
+        rep = _by_label(classify(params, MICKENS, h))[E2]
+        assert rep.equilibrium.point == point
+        assert rep.classification == OUT_OF_CRITERION
+        assert rep.criterion_details == {
+            "reason": f"the mickens Jacobian {reason} at this point"}
+
     def test_negative_product_drops_the_euler_step_bound(self):
         # p*capacity < 0 lets E3 = (0.75, 0.03125) exist with
         # p*capacity - beta = -0.1 <= 0
