@@ -464,9 +464,9 @@ def parse_config(text: str, source: str = "<config>"):
     """Parse a sectioned key-value scenario file.
 
     Format: ``[name]`` headers introduce scenarios; ``key = value`` lines
-    set fields; ``#`` or ``;`` start comments.  Unknown keys and malformed
-    lines are reported with their line numbers.  Returns a list of
-    (name, {key: (raw_value, lineno)}).
+    set fields; ``#`` or ``;`` start comments.  Unknown or repeated keys
+    and sections, and malformed lines, are reported with line numbers.
+    Returns a list of (name, {key: (raw_value, lineno)}).
     """
     sections = []
     current = None
@@ -496,6 +496,8 @@ def parse_config(text: str, source: str = "<config>"):
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
+        if key in current:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         current[key] = (value, lineno)
     if not sections:
         raise ConfigError(f"{source}: no scenario sections found")

@@ -67,47 +67,58 @@ def mickens_phi(params: ModelParams, h: float) -> float:
     return -math.expm1(-bh) / params.beta
 
 
-def _stepper(scheme: str, params: ModelParams, h: float):
-    """The whole loop of a classical scheme, as run(flat).
+def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
+    """Run the configured scheme's loop over the grid, recording each state.
 
-    ``flat`` holds state k at ``flat[2k]`` and ``flat[2k + 1]``; run reads
-    state 0 and writes every later state.  The parameters, h and the step
-    constants are bound once as floats, as run's default arguments so
-    that its loop reads them as locals, and each scheme's update (Euler,
-    Mickens, and the four stages of RK4) is written once, inline in its
-    loop, so no loop makes a Python call per step.  Products are grouped
+    The number of steps is ceil(t_end/h); the returned trajectory has one
+    more point than that.  Each scheme's update (Euler, Mickens, and the
+    four stages of RK4) is written once, inline in its loop on plain
+    floats, so no loop makes a Python call per step.  Products are grouped
     exactly as the written-out maps group them (alpha*h*x is
     (alpha*h)*x), so hoisting them changes no bit; each RK4 stage repeats
     model.rate_field's grouping.  Mickens' predator update uses the
     advanced prey value, which keeps that map positive from non-negative
-    states.  Step constants that overflow (Mickens' phi once beta*h is
-    below about -709) give no finite first state: DivergenceError at step
-    1, before any loop is built.  A Mickens denominator that reaches zero
-    mid-run raises it at that step.
+    states.  Euler runs under validated parameters warn when
+    1 - beta*h <= 0 (predator positivity is then no longer guaranteed).
+    Every scheme raises DivergenceError at the first state that is not
+    finite, the start included.  Mickens step constants that overflow
+    (phi once beta*h is below about -709) raise it at step 1 before the
+    grid is allocated, and a Mickens denominator that reaches zero raises
+    it at that step.
     """
+    scheme, h = cfg.scheme, cfg.h
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
                                 params.capacity)
-    if scheme == EULER:
-        ah, ph, bh = alpha * h, p * h, beta * h
-
-        def run(flat, ah=ah, ph=ph, bh=bh, capacity=capacity):
-            d, l = flat[0], flat[1]
-            for i in range(2, len(flat), 2):
-                d, l = (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
-                        l * (ph * d - bh + 1.0))
-                flat[i] = d
-                flat[i + 1] = l
+    if scheme == EULER and params.validated:
+        slack = 1.0 - beta * h
+        if slack <= 0.0:
+            warnings.warn(
+                f"1 - beta*h = {slack:g} <= 0: Euler updates can drive the "
+                "predator population negative", StepSizeWarning, stacklevel=2)
     elif scheme == MICKENS:
         try:
             phi = mickens_phi(params, h)
         except OverflowError as exc:
             raise DivergenceError.at_step(1, h) from exc
-        xi, aphi, pphi = 1.0 + alpha * phi, alpha * phi, p * phi
-        decay = 1.0 + beta * phi
 
-        def run(flat, xi=xi, aphi=aphi, pphi=pphi, decay=decay,
-                capacity=capacity):
-            d, l = flat[0], flat[1]
+    n = cfg.n_steps()
+    times = np.arange(n + 1, dtype=float) * h
+    states = np.empty((n + 1, 2))
+    states[0] = s0.d, s0.l
+    # a flat memoryview takes float items much faster than numpy rows;
+    # state k is flat[2k], flat[2k + 1]
+    with memoryview(states.reshape(-1)) as flat:
+        d, l = flat[0], flat[1]
+        if scheme == EULER:
+            ah, ph, bh = alpha * h, p * h, beta * h
+            for i in range(2, len(flat), 2):
+                d, l = (d * (ah * (1.0 - d / capacity) - ph * l + 1.0),
+                        l * (ph * d - bh + 1.0))
+                flat[i] = d
+                flat[i + 1] = l
+        elif scheme == MICKENS:
+            xi, aphi, pphi = 1.0 + alpha * phi, alpha * phi, p * phi
+            decay = 1.0 + beta * phi
             try:
                 for i in range(2, len(flat), 2):
                     d = xi * d / (1.0 + pphi * l + aphi * d / capacity)
@@ -116,12 +127,8 @@ def _stepper(scheme: str, params: ModelParams, h: float):
                     flat[i + 1] = l
             except ZeroDivisionError as exc:
                 raise DivergenceError.at_step(i // 2, h) from exc
-    else:
-        hh = 0.5 * h
-
-        def run(flat, alpha=alpha, beta=beta, p=p, capacity=capacity, h=h,
-                hh=hh):
-            d, l = flat[0], flat[1]
+        else:
+            hh = 0.5 * h
             for i in range(2, len(flat), 2):
                 pdl = p * d * l
                 k1d, k1l = alpha * d * (1.0 - d / capacity) - pdl, pdl - beta * l
@@ -138,36 +145,7 @@ def _stepper(scheme: str, params: ModelParams, h: float):
                         l + h * (k1l + 2.0 * k2l + 2.0 * k3l + k4l) / 6.0)
                 flat[i] = d
                 flat[i + 1] = l
-    return run
-
-
-def iterate(params: ModelParams, cfg: SchemeConfig, s0: State) -> Trajectory:
-    """Run the configured scheme's loop over the grid, recording each state.
-
-    The number of steps is ceil(t_end/h); the returned trajectory has one
-    more point than that.  Euler runs under validated parameters warn when
-    1 - beta*h <= 0 (predator positivity is then no longer guaranteed).
-    Every scheme raises DivergenceError at the first state that is not
-    finite, the start included.  Mickens step constants that overflow
-    raise it at step 1 before the grid is allocated, and a Mickens
-    denominator that reaches zero raises it at that step.
-    """
-    if cfg.scheme == EULER and params.validated:
-        slack = 1.0 - params.beta * cfg.h
-        if slack <= 0.0:
-            warnings.warn(
-                f"1 - beta*h = {slack:g} <= 0: Euler updates can drive the "
-                "predator population negative", StepSizeWarning, stacklevel=2)
-
-    run = _stepper(cfg.scheme, params, cfg.h)
-    n = cfg.n_steps()
-    times = np.arange(n + 1, dtype=float) * cfg.h
-    states = np.empty((n + 1, 2))
-    states[0] = s0.d, s0.l
-    # a flat memoryview takes float items much faster than numpy rows
-    with memoryview(states.reshape(-1)) as flat:
-        run(flat)
-    exc = DivergenceError.first_in(states, cfg.h)
+    exc = DivergenceError.first_in(states, h)
     if exc is not None:
         raise exc
-    return Trajectory(times, states, cfg.scheme, params, cfg)
+    return Trajectory(times, states, scheme, params, cfg)

@@ -11,11 +11,14 @@ from predprey import (
     FRACTIONAL,
     MICKENS,
     REFERENCE,
+    FractionalConfig,
     ModelParams,
     SchemeConfig,
     State,
     Trajectory,
+    caputo_solve,
     check_trajectory,
+    classify,
     continuous_region,
     euler_region,
     fractional_conservation_bound,
@@ -281,3 +284,44 @@ def test_euler_stays_in_its_region(params, frac_h, frac_w, frac_d):
            and params.capacity < (1.0 + params.alpha * h) / (params.p * h)
            and start.d + start.l <= params.capacity)
     _holds(params, EULER, h, start, euler_region(params, h))
+
+
+# the scaling property's runs: each scheme with the step (Euler, Mickens)
+# or order (Caputo) that classify takes; RK4 and Caputo step at h = 0.25
+_UNIT_RUNS = ((REFERENCE, None), (EULER, 0.25), (MICKENS, 1.0),
+              (FRACTIONAL, 0.9))
+
+
+def _unit_run(scheme, arg, params, start):
+    if scheme == FRACTIONAL:
+        cfg = FractionalConfig(sigma=arg, h=0.25, t_end=30.0)
+        return caputo_solve(params, cfg, start).states
+    cfg = SchemeConfig(h=arg or 0.25, t_end=30.0, scheme=scheme)
+    return iterate(params, cfg, start).states
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=valid_params(), frac_d=st.floats(1e-6, 1.0),
+       frac_l=st.floats(1e-6, 1.0), k=st.integers(-60, 60))
+def test_runs_scale_exactly_with_the_population_unit(params, frac_d, frac_l,
+                                                      k):
+    """The model is covariant under (D, L, capacity, p) -> (sD, sL, sK, p/s)
+    with alpha, beta, h and sigma unchanged.  With s = 2^k every solver's
+    arithmetic scales exactly, barring underflow, so each state of the
+    scaled run is s times the unscaled one, bit for bit, and every
+    equilibrium keeps its classification (RK4 and Euler at h = 0.25,
+    Mickens at h = 1, Caputo at sigma = 0.9 and h = 0.25, all to t = 30).
+    Both populations start in [1e-6, 1] times the capacity: there no run
+    diverges, and scaled by 2^-60 none comes near the subnormal range,
+    where rounding does not scale."""
+    s = 2.0 ** k
+    start = State(frac_d * params.capacity, frac_l * params.capacity)
+    scaled = ModelParams(params.alpha, params.beta, params.p / s,
+                         params.capacity * s)
+    scaled_start = State(s * start.d, s * start.l)
+    for scheme, arg in _UNIT_RUNS:
+        np.testing.assert_array_equal(
+            _unit_run(scheme, arg, scaled, scaled_start),
+            s * _unit_run(scheme, arg, params, start), err_msg=scheme)
+        assert ([r.classification for r in classify(scaled, scheme, arg)]
+                == [r.classification for r in classify(params, scheme, arg)])

@@ -315,6 +315,15 @@ class TestCompare:
         assert compare(a, b) == CompareResult(3.0, 3.0, resampled=True)
         assert compare(b, a) == CompareResult(3.0, 3.0, resampled=True)
 
+    def test_equal_neighbours_resample_to_their_value(self):
+        # unclipped, (1 - w)*0.1 + w*0.1 misses 0.1 by an ulp for some of
+        # the 9999 weights; the clip to the neighbours' range keeps it
+        fine = Trajectory(np.linspace(0.0, 1.0, 10001),
+                          np.full((10001, 2), 0.1), "csv")
+        coarse = Trajectory(np.array([0.0, 1.0]), np.full((2, 2), 0.1), "csv")
+        assert compare(fine, coarse) == CompareResult(0.0, 0.0, resampled=True)
+        assert compare(coarse, fine) == CompareResult(0.0, 0.0, resampled=True)
+
 
 @settings(max_examples=300, deadline=None)
 @given(a=_any_trajectory(), b=_any_trajectory())
@@ -581,6 +590,7 @@ class TestParseConfig:
         ("[one\nh = 1\n", "unterminated section"),
         ("[ ]\n", "empty section name"),
         ("[a]\nh = 1\n[a]\n", "duplicate section"),
+        ("[a]\nh = 1\nh = 2\n", r"bad\.cfg:3: duplicate key 'h'"),
         ("h = 1\n[a]\n", "before any"),
         ("[a]\nstep = 1\n", "unknown key"),
         ("[a]\nh =\n", "empty value"),

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from predprey import (
+    DEFAULT_PARAMS,
     E1,
     E2,
     E3,
@@ -220,6 +221,12 @@ class TestClassifyEuler:
         rep = _by_label(classify(params, EULER, 10.0))[E3]
         assert rep.classification == NON_HYPERBOLIC
 
+    def test_flip_boundary_step_is_non_hyperbolic(self):
+        # at h = 2/beta, E1's Euler multiplier 1 - beta*h is exactly -1
+        rep = _by_label(classify(DEFAULT_PARAMS, EULER, 2 / 0.3))[E1]
+        assert rep.criterion_details["P(-1)"] == 0.0
+        assert rep.classification == NON_HYPERBOLIC
+
     def test_step_size_required(self, params):
         with pytest.raises(ValueError, match="step"):
             classify(params, EULER)
@@ -389,6 +396,20 @@ def test_exact_unit_multiplier_is_a_boundary(scheme, h, multipliers):
         assert rep.criterion_details["P(1)"] == 0.0
         assert tuple(z.real for z in rep.eigenvalues) == multipliers
         assert rep.classification == NON_HYPERBOLIC
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=valid_params(), scheme=st.sampled_from(
+    [REFERENCE, EULER, MICKENS, FRACTIONAL]), step=st.floats(0.01, 1.0))
+def test_triangular_jacobians_keep_their_diagonal(params, scheme, step):
+    """E1 and E2 have L = 0, so every Jacobian there is triangular and its
+    eigenvalues are its diagonal entries, bit for bit."""
+    arg = None if scheme == REFERENCE else (
+        step if scheme == FRACTIONAL else 100.0 * step)
+    for rep in classify(params, scheme, arg)[:2]:
+        diagonal = complex(rep.jacobian[0, 0]), complex(rep.jacobian[1, 1])
+        assert ([(z.real.hex(), z.imag.hex()) for z in rep.eigenvalues]
+                == [(z.real.hex(), z.imag.hex()) for z in diagonal])
 
 
 # c2 in +-[1e-3, 1e3]; c1 and c0 in [-1e6, 1e6], often near the unit circle
