@@ -23,8 +23,8 @@ from .regions import (RegionSpec, check_trajectory, continuous_region,
                       fractional_region, mickens_region)
 from .runner import (CSV_HEADER, DEFAULT_INITIAL, DEFAULT_PARAMS, PRESETS,
                      CompareResult, ConfigError, Scenario, compare,
-                     load_scenarios, parse_config, preset_scenarios,
-                     run_batch, run_scenario, run_scenarios, scheme_region,
+                     load_scenarios, preset_scenarios, run_batch,
+                     run_scenario, run_scenarios, scheme_region,
                      solve_scenario, trajectory_from_csv, trajectory_to_csv,
                      write_gnuplot_script)
 
@@ -46,7 +46,7 @@ __all__ = [
     "fractional_region", "mickens_region",
     "CSV_HEADER", "DEFAULT_INITIAL", "DEFAULT_PARAMS", "PRESETS",
     "CompareResult", "ConfigError", "Scenario", "compare", "load_scenarios",
-    "parse_config", "preset_scenarios", "run_batch", "run_scenario",
-    "run_scenarios", "scheme_region", "solve_scenario", "trajectory_from_csv",
+    "preset_scenarios", "run_batch", "run_scenario", "run_scenarios",
+    "scheme_region", "solve_scenario", "trajectory_from_csv",
     "trajectory_to_csv", "write_gnuplot_script",
 ]

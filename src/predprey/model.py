@@ -112,8 +112,10 @@ def grid_steps(h: float, t_end: float) -> int:
     if not t_end >= h:
         raise ValueError(f"t_end must be at least h, got {t_end!r}")
     steps = t_end / h
-    # ceil, but tolerant of t_end/h landing a hair above an integer
-    n = math.ceil(steps - 1e-9) if math.isfinite(steps) else math.inf
+    # ceil, but t_end/h a hair above an integer counts as that integer: by
+    # 1e-9 of a step, or past 2**21 steps by a few ulps of t_end/h
+    hair = min(steps % 1.0, max(1e-9, 4.0 * math.ulp(steps)))
+    n = math.ceil(steps - hair) if math.isfinite(steps) else math.inf
     if not math.isfinite(n * h):
         raise ValueError(f"t_end/h and the last grid time must be finite, "
                          f"got {t_end!r}/{h!r}")

@@ -460,66 +460,59 @@ def run_presets(presets, out_dir):
 
 # {{{ scenario config files
 
-def parse_config(text: str, source: str = "<config>"):
-    """Parse a sectioned key-value scenario file.
+def load_scenarios(path, overrides=None):
+    """Scenarios from a sectioned key-value file, with flag overrides applied.
 
     Format: ``[name]`` headers introduce scenarios; ``key = value`` lines
     set fields; ``#`` or ``;`` start comments.  Unknown or repeated keys
-    and sections, and malformed lines, are reported with line numbers.
-    Returns a list of (name, {key: (raw_value, lineno)}).
+    and sections, malformed lines and values that do not read are
+    reported with line numbers, the earliest line first; a scenario whose
+    fields do not fit together is reported once every line reads.
     """
-    sections = []
-    current = None
+    path = Path(path)
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    sections, fields = {}, None
+    text = _read_utf8(path, ConfigError)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ConfigError(f"{source}:{lineno}: unterminated section header")
+                raise ConfigError(f"{where}: unterminated section header")
             name = line[1:-1].strip()
             if not name:
-                raise ConfigError(f"{source}:{lineno}: empty section name")
-            if any(n == name for n, _ in sections):
-                raise ConfigError(f"{source}:{lineno}: duplicate section {name!r}")
-            current = {}
-            sections.append((name, current))
+                raise ConfigError(f"{where}: empty section name")
+            if name in sections:
+                raise ConfigError(f"{where}: duplicate section {name!r}")
+            fields = sections[name] = {}
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', "
+            raise ConfigError(f"{where}: expected 'key = value', "
                               f"got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if current is None:
-            raise ConfigError(f"{source}:{lineno}: {key!r} appears before any "
+        if fields is None:
+            raise ConfigError(f"{where}: {key!r} appears before any "
                               "[section] header")
         if key not in MODEL_FIELDS and key != "outputs":
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if not value:
-            raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
-        if key in current:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        current[key] = (value, lineno)
+            raise ConfigError(f"{where}: empty value for {key!r}")
+        if key in fields:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        if key == "outputs":
+            fields[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+        else:
+            try:
+                fields[key] = value if key == "scheme" else float(value)
+            except ValueError:
+                raise ConfigError(f"{where}: {key} must be a number, "
+                                  f"got {value!r}") from None
     if not sections:
-        raise ConfigError(f"{source}: no scenario sections found")
-    return sections
-
-
-def load_scenarios(path, overrides=None):
-    """Scenarios from a config file, with optional flag overrides applied."""
-    path = Path(path)
-    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+        raise ConfigError(f"{path}: no scenario sections found")
     scenarios = []
-    for name, mapping in parse_config(_read_utf8(path, ConfigError), str(path)):
-        fields = {}
-        for key, (value, lineno) in mapping.items():
-            if key == "outputs":
-                fields[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            else:
-                try:
-                    fields[key] = value if key == "scheme" else float(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: {key} must be a number, "
-                                      f"got {value!r}") from None
+    for name, fields in sections.items():
         try:
             scenarios.append(Scenario.from_fields(name, {**fields, **flags}))
         except ValueError as exc:

@@ -217,7 +217,7 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
 
     reports = []
     for eq in equilibria(params):
-        reason = None
+        eig = step_bound = None
         try:
             # numpy products overflow to inf, and meet inf as nan,
             # without raising; a criterion built on them is no verdict
@@ -238,34 +238,26 @@ def classify(params: ModelParams, scheme: str, h_or_sigma=None):
                 details = {"c1": poly.c1, "c0": poly.c0}
             if not np.isfinite([*jac.flat, *details.values()]).all():
                 raise OverflowError
-        except OverflowError:
-            reason = f"the {scheme} Jacobian overflows at this point"
-        except ZeroDivisionError:
-            reason = f"the {scheme} Jacobian divides by zero at this point"
-        if reason is not None:
-            if not eq.exists:   # non-existence outranks a Jacobian failure
-                reason = eq.reason
-            reports.append(StabilityReport(
-                equilibrium=eq, scheme=scheme, jacobian=None, eigenvalues=None,
-                classification=OUT_OF_CRITERION,
-                criterion_details={"reason": reason}))
-            continue
-
-        eig = _eigenvalues(jac, poly)
-        label = (_classify_unit_circle(sc, phi) if discrete
-                 else _classify_halfplane(poly))
-        if scheme == FRACTIONAL and h_or_sigma is not None:
-            details["sigma"] = float(h_or_sigma)
+        except (OverflowError, ZeroDivisionError) as exc:
+            jac, label = None, OUT_OF_CRITERION
+            failure = ("overflows" if isinstance(exc, OverflowError)
+                       else "divides by zero")
+            details = {"reason": f"the {scheme} Jacobian {failure} at this point"}
+        else:
+            eig = _eigenvalues(jac, poly)
+            label = (_classify_unit_circle(sc, phi) if discrete
+                     else _classify_halfplane(poly))
+            if scheme == FRACTIONAL and h_or_sigma is not None:
+                details["sigma"] = float(h_or_sigma)
+            if scheme == EULER and eq.label == E3 and eq.exists:
+                try:
+                    step_bound = euler_step_bound(params)
+                except ValueError:
+                    pass    # p*capacity < 0 lets E3 exist with no positive bound
+        # non-existence outranks both a Jacobian failure and a verdict
         if not eq.exists:
             label = OUT_OF_CRITERION
             details["reason"] = eq.reason
-
-        step_bound = None
-        if scheme == EULER and eq.label == E3 and eq.exists:
-            try:
-                step_bound = euler_step_bound(params)
-            except ValueError:
-                pass    # p*capacity < 0 lets E3 exist with no positive bound
         reports.append(StabilityReport(
             equilibrium=eq, scheme=scheme, jacobian=jac, eigenvalues=eig,
             classification=label, criterion_details=details,

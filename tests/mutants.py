@@ -46,6 +46,7 @@ STABILITY = "src/predprey/stability.py"
 REGIONS = "src/predprey/regions.py"
 SCHEMES = "src/predprey/schemes.py"
 FRACTIONAL = "src/predprey/fractional.py"
+RUNNER = "src/predprey/runner.py"
 
 MUTANTS = (
     Mutant("flip-boundary", STABILITY,
@@ -57,7 +58,16 @@ MUTANTS = (
            "    return poly.roots()",
            "    return poly.roots()",
            ("tests/test_stability.py",)),
-    Mutant("resample-unclipped", "src/predprey/runner.py",
+    Mutant("existence-ignored", STABILITY,
+           "        if not eq.exists:\n            label = OUT_OF_CRITERION\n",
+           "        if False:\n            label = OUT_OF_CRITERION\n",
+           ("tests/test_stability.py",)),
+    Mutant("duplicate-key-kept", RUNNER,
+           "        if key in fields:\n"
+           "            raise ConfigError(f\"{where}: duplicate key {key!r}\")\n",
+           "",
+           ("tests/test_runner.py",)),
+    Mutant("resample-unclipped", RUNNER,
            "mean = np.clip((1 - w) * y0 + w * y1, np.minimum(y0, y1), "
            "np.maximum(y0, y1))",
            "mean = (1 - w) * y0 + w * y1",

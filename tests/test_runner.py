@@ -24,7 +24,6 @@ from predprey import (
     Trajectory,
     compare,
     load_scenarios,
-    parse_config,
     preset_scenarios,
     run_batch,
     run_scenario,
@@ -579,12 +578,13 @@ outputs = timeseries, verify
 
 
 class TestParseConfig:
-    def test_sections_keys_and_comments(self):
-        sections = parse_config(GOOD_CONFIG, source="demo.cfg")
-        assert [name for name, _ in sections] == ["slow", "memory"]
-        slow = dict(sections[0][1])
-        assert slow["h"] == ("0.5", 4)
-        assert slow["scheme"] == ("mickens", 3)
+    """The file format, read by ``load_scenarios`` in one pass."""
+
+    @staticmethod
+    def load(tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        return load_scenarios(cfg)
 
     @pytest.mark.parametrize("text,fragment", [
         ("[one\nh = 1\n", "unterminated section"),
@@ -596,14 +596,19 @@ class TestParseConfig:
         ("[a]\nh =\n", "empty value"),
         ("[a]\nh 1\n", "expected 'key = value'"),
         ("# only a comment\n", "no scenario sections"),
+        # of several errors the earliest line's, and every line reads
+        # before any scenario is built
+        ("[a]\nh = fast\n[a]\n", r"bad\.cfg:2: h must be a number"),
+        ("[zero]\ncapacity = 0\n[b]\nh = fast\n",
+         r"bad\.cfg:4: h must be a number"),
     ])
-    def test_malformed_files_rejected(self, text, fragment):
+    def test_malformed_files_rejected(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
-            parse_config(text, source="bad.cfg")
+            self.load(tmp_path, text)
 
-    def test_errors_carry_source_and_line(self):
+    def test_errors_carry_source_and_line(self, tmp_path):
         with pytest.raises(ConfigError, match=r"bad\.cfg:3"):
-            parse_config("[a]\nh = 1\nfoo = 2\n", source="bad.cfg")
+            self.load(tmp_path, "[a]\nh = 1\nfoo = 2\n")
 
 
 class TestLoadScenarios:

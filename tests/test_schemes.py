@@ -76,6 +76,10 @@ class TestSchemeConfig:
     def test_near_integer_ratio_not_inflated(self):
         # 0.9/0.3 is 3.0000000000000004 in doubles; must stay 3 steps
         assert SchemeConfig(h=0.3, t_end=0.9).n_steps() == 3
+        # 21e6/0.7 is one ulp above 3e7, which 1e-9 of a step does not span
+        assert SchemeConfig(h=0.7, t_end=21000000.0).n_steps() == 30000000
+        # an exact ratio keeps its count where an ulp is a whole step
+        assert SchemeConfig(h=1.0, t_end=2.0 ** 52).n_steps() == 2 ** 52
 
     @pytest.mark.parametrize("kw", [
         dict(h=0.0, t_end=1.0),
@@ -261,6 +265,12 @@ class TestLongRuns:
     def test_euler_global_order_one(self, params, s0):
         e1 = np.abs(_final(params, EULER, 0.1, 10.0, s0) - FLOW_T10).max()
         e2 = np.abs(_final(params, EULER, 0.05, 10.0, s0) - FLOW_T10).max()
+        assert 1.7 <= e1 / e2 <= 2.3
+
+    def test_mickens_global_order_one(self, params, s0):
+        # 2.61e-3 and 1.33e-3 from the flow: ratio 1.96
+        e1 = np.abs(_final(params, MICKENS, 0.1, 10.0, s0) - FLOW_T10).max()
+        e2 = np.abs(_final(params, MICKENS, 0.05, 10.0, s0) - FLOW_T10).max()
         assert 1.7 <= e1 / e2 <= 2.3
 
     def test_rk4_global_order_four(self, params, s0):

@@ -457,9 +457,20 @@ positive = st.one_of(st.sampled_from([x for x in EXTREMES if x > 0.0]),
                                       st.floats(0.0, 1.0, exclude_min=True))))
 # phi = h = 1 and alpha*phi = -1: the Mickens denominator is 0 at E2
 @example(values=(-1.0, 0.0, 1.0, 1.0), scheme_arg=(MICKENS, 1.0))
+# the Euler Jacobian overflows at E2, which a negative capacity removes
+@example(values=(1e300, 0.3, 1e300, -1e300), scheme_arg=(EULER, 1e300))
+# beta*h = -710: phi overflows before any Jacobian entry
+@example(values=(0.05, -1.0, 0.4, 1.0), scheme_arg=(MICKENS, 710.0))
+# a finite verdict at E3, which beta >= p*capacity removes
+@example(values=(0.05, 0.5, 0.4, 1.0), scheme_arg=(FRACTIONAL, 0.9))
 def test_classify_never_raises_on_unchecked_parameters(values, scheme_arg):
     """Whatever the magnitudes of a model that exists, every equilibrium
-    gets a report; construction fails exactly when the capacity is 0."""
+    gets a report; construction fails exactly when the capacity is 0.
+
+    A point that does not exist is out of criterion with its own reason;
+    a report without a Jacobian is out of criterion with no eigenvalues;
+    every other report has a finite Jacobian and finite criterion values,
+    and its details list them before ``sigma`` and ``reason``."""
     if values[3] == 0.0:
         with pytest.raises(ValueError, match="capacity"):
             ModelParams.unchecked(*values)
@@ -468,6 +479,23 @@ def test_classify_never_raises_on_unchecked_parameters(values, scheme_arg):
     with np.errstate(all="ignore"):
         reports = classify(ModelParams.unchecked(*values), scheme, arg)
     assert [r.equilibrium.label for r in reports] == [E1, E2, E3]
+    criterion = (["P(1)", "P(-1)", "P(0)"] if scheme in (EULER, MICKENS)
+                 else ["c1", "c0"])
+    sigma = ["sigma"] if scheme == FRACTIONAL and arg is not None else []
+    for r in reports:
+        details = r.criterion_details
+        if not r.equilibrium.exists:
+            assert r.classification == OUT_OF_CRITERION
+            assert details["reason"] == r.equilibrium.reason
+        if r.jacobian is None:
+            assert r.classification == OUT_OF_CRITERION
+            assert r.eigenvalues is None
+            assert list(details) == ["reason"]
+            continue
+        assert np.isfinite(r.jacobian).all()
+        assert np.isfinite([details[k] for k in criterion]).all()
+        assert list(details) == criterion + sigma + (
+            [] if r.equilibrium.exists else ["reason"])
 
 
 @settings(max_examples=300, deadline=None)
