@@ -23,9 +23,9 @@ from .regions import (RegionSpec, check_trajectory, continuous_region,
                       fractional_region, mickens_region)
 from .runner import (CSV_HEADER, DEFAULT_INITIAL, DEFAULT_PARAMS, PRESETS,
                      CompareResult, ConfigError, Scenario, compare,
-                     load_scenarios, preset_scenarios, run_batch,
-                     run_scenario, run_scenarios, scheme_region,
-                     solve_scenario, trajectory_from_csv, trajectory_to_csv,
+                     load_scenarios, preset_scenarios, run_scenario,
+                     run_scenarios, scheme_region, solve_scenario,
+                     trajectory_from_csv, trajectory_to_csv,
                      write_gnuplot_script)
 
 __version__ = "0.1.0"
@@ -46,7 +46,7 @@ __all__ = [
     "fractional_region", "mickens_region",
     "CSV_HEADER", "DEFAULT_INITIAL", "DEFAULT_PARAMS", "PRESETS",
     "CompareResult", "ConfigError", "Scenario", "compare", "load_scenarios",
-    "preset_scenarios", "run_batch", "run_scenario", "run_scenarios",
-    "scheme_region", "solve_scenario", "trajectory_from_csv",
-    "trajectory_to_csv", "write_gnuplot_script",
+    "preset_scenarios", "run_scenario", "run_scenarios", "scheme_region",
+    "solve_scenario", "trajectory_from_csv", "trajectory_to_csv",
+    "write_gnuplot_script",
 ]

@@ -14,8 +14,9 @@ from pathlib import Path
 
 from .model import FRACTIONAL, SCHEMES
 from .runner import (MODEL_FIELDS, PRESETS, ConfigError, Scenario, compare,
-                     load_scenarios, run_batch, run_presets, run_scenarios,
-                     stability_text, trajectory_from_csv, write_artifact)
+                     load_scenarios, preset_scenarios, run_scenarios,
+                     stability_text, trajectory_from_csv, write_artifact,
+                     write_gnuplot_script)
 from .schemes import DivergenceError
 
 
@@ -53,7 +54,11 @@ def _scenarios_for(args, default_name, verify: bool):
 def cmd_simulate(args) -> int:
     scenarios = _scenarios_for(args, args.name, verify=args.strict)
     name = scenarios[0].name
-    paths, reports = run_batch(scenarios, args.output, name, title=name)
+    paths, reports = run_scenarios(scenarios, args.output)
+    csvs = [p for p in paths if p.suffix == ".csv"]
+    if csvs:
+        paths.append(write_gnuplot_script(csvs, Path(args.output) / f"{name}.gp",
+                                          title=name, phase=True))
     for p in paths:
         print(p)
     bad = [r for r in reports if not r.ok]
@@ -116,18 +121,25 @@ def cmd_sweep(args) -> int:
         name = f"{base.name}_{args.param}{label}"
         scenarios[label] = replace(base, name=name, scheme=scheme,
                                    **{args.param: v})
-    paths, _ = run_batch(list(scenarios.values()), args.output,
-                         f"{base.name}_{args.param}",
+    # every scenario writes one CSV and nothing else
+    paths, _ = run_scenarios(list(scenarios.values()), args.output)
+    write_gnuplot_script(paths, Path(args.output) / f"{base.name}_{args.param}.gp",
                          title=f"{args.param} sweep", phase=False)
     for p in paths:
-        if p.suffix == ".csv":
-            print(p)
+        print(p)
     return 0
 
 
 def cmd_figures(args) -> int:
     presets = PRESETS if args.preset == "all" else (args.preset,)
-    for p in run_presets(presets, args.output):
+    bundles = {preset: preset_scenarios(preset) for preset in presets}
+    run_scenarios([sc for scs in bundles.values() for sc in scs], args.output)
+    out, paths = Path(args.output), []
+    for preset, scenarios in bundles.items():
+        csvs = [out / f"{sc.name}.csv" for sc in scenarios]
+        paths += [*csvs, write_gnuplot_script(csvs, out / f"{preset}.gp",
+                                              title=preset, phase=True)]
+    for p in paths:
         print(p)
     return 0
 

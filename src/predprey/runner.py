@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -70,6 +70,7 @@ class Scenario:
     outputs: tuple = ("timeseries",)
 
     def __post_init__(self):
+        object.__setattr__(self, "outputs", tuple(self.outputs))
         if (self.name in ("", ".", "..") or not self.name.isprintable()
                 or any(c in self.name for c in "/\\'")):
             raise ValueError(f"scenario name {self.name!r} is not a plain "
@@ -293,11 +294,17 @@ def run_scenario(sc: Scenario, out_dir, traj: Optional[Trajectory] = None):
 
 
 def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
-    """Run a batch in the calling thread; artifact files never collide by name.
+    """Run a batch in the calling thread, solving each distinct run once.
 
-    The output directory is made first, then every scenario's solver
+    A scenario that asks for no report (``stability`` or ``verify``) and
+    repeats an earlier one of the batch bit for bit in every field but its
+    name is not solved: its CSV is a byte copy of the earlier one's, or it
+    raises that run's error.  The key is the fields' ``repr``, not ``==``:
+    ``-0.0 == 0.0``, yet the CSV writes ``-0`` for one and ``0`` for the
+    other.  Artifact files never collide by name.
+    The output directory is made first, then every solved scenario's
     configuration and, for ``verify`` outputs, its region are built, and
-    each classical scenario's time grid is allocated once, so a directory
+    each classical one's time grid is allocated once, so a directory
     that cannot be made, a bad setting or a grid too large for memory
     fails the batch before any solve.  Fractional scenarios are solved
     together by one :func:`caputo_solve_batch` call, and a negative start
@@ -312,9 +319,18 @@ def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique within a batch")
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    first, source = {}, {}      # source: the name of the run a scenario copies
+    for sc in scenarios:
+        source[sc.name] = sc.name
+        if "stability" not in sc.outputs and "verify" not in sc.outputs:
+            key = repr(replace(sc, name="_"))
+            source[sc.name] = first.setdefault(key, sc.name)
     runs = {}
     for sc in scenarios:
+        if source[sc.name] != sc.name:
+            continue
         cfg = _config(sc)
         if "verify" in sc.outputs:
             scheme_region(sc)
@@ -328,20 +344,27 @@ def run_scenarios(scenarios, out_dir, workers: Optional[int] = None):
     for traj in solved.values():
         if isinstance(traj, ValueError):
             raise traj
-    results, error = [], None
+    results, error = {}, None
     for sc in scenarios:
+        earlier = results.get(source[sc.name])
         traj = solved.get(sc.name)
         try:
-            if isinstance(traj, Exception):
-                raise traj
-            results.append(run_scenario(sc, out_dir, traj))
+            for failed in (earlier, traj):
+                if isinstance(failed, Exception):
+                    raise failed
+            if earlier is None:
+                results[sc.name] = run_scenario(sc, out_dir, traj)
+            else:
+                results[sc.name] = ([shutil.copyfile(p, out_dir / f"{sc.name}.csv")
+                                     for p in earlier[0]], None)
         except Exception as exc:    # the others still run; raised below
+            results[sc.name] = exc
             if error is None:
                 error = exc
     if error is not None:
         raise error
-    paths = [p for ps, _ in results for p in ps]
-    reports = [r for _, r in results if r is not None]
+    paths = [p for ps, _ in results.values() for p in ps]
+    reports = [r for _, r in results.values() if r is not None]
     return paths, reports
 
 # }}}
@@ -382,20 +405,6 @@ def write_gnuplot_script(csv_paths, out_path, title: str,
         ]
     return write_artifact(out_path, "\n".join(lines) + "\n")
 
-
-def run_batch(scenarios, out_dir, script: str, title: str, phase: bool = True):
-    """Run a batch, then write ``<script>.gp`` over the CSVs it wrote.
-
-    Returns (paths, reports) as :func:`run_scenarios` does, with the
-    script path last; no script is written when the batch wrote no CSV.
-    """
-    paths, reports = run_scenarios(scenarios, out_dir)
-    csvs = [p for p in paths if p.suffix == ".csv"]
-    if csvs:
-        paths.append(write_gnuplot_script(csvs, Path(out_dir) / f"{script}.gp",
-                                          title=title, phase=phase))
-    return paths, reports
-
 # }}}
 
 
@@ -424,36 +433,6 @@ def preset_scenarios(preset: str):
         raise ValueError(f"unknown preset {preset!r}; expected figure2 .. figure10")
     return [Scenario(name=f"{preset}_{suffix}", **fields)
             for suffix, fields in _PRESET_RUNS[preset]]
-
-
-def run_presets(presets, out_dir):
-    """Write each named preset's CSVs and gnuplot script, solving each run once.
-
-    Presets repeat runs: figures 6-10 reuse the default-start runs of
-    figures 2-5.  Scenarios that agree in every field but their name are
-    one run.  The first scenario of each run is solved and written by a
-    single :func:`run_scenarios` batch, and every repeat's CSV is a byte
-    copy of that first CSV.  Nothing is kept between calls.  Returns the
-    paths preset by preset: its CSVs in scenario order, then its script.
-    """
-    out_dir = Path(out_dir)
-    bundles = {preset: preset_scenarios(preset) for preset in presets}
-    first, source = {}, {}
-    for scenarios in bundles.values():
-        for sc in scenarios:
-            run = tuple(v for k, v in vars(sc).items() if k != "name")
-            source[sc.name] = first.setdefault(run, sc).name
-    run_scenarios(list(first.values()), out_dir)
-    paths = []
-    for preset, scenarios in bundles.items():
-        csvs = [out_dir / f"{sc.name}.csv" for sc in scenarios]
-        for sc, csv in zip(scenarios, csvs):
-            if source[sc.name] != sc.name:
-                shutil.copyfile(out_dir / f"{source[sc.name]}.csv", csv)
-        paths += csvs
-        paths.append(write_gnuplot_script(csvs, out_dir / f"{preset}.gp",
-                                          title=preset, phase=True))
-    return paths
 
 # }}}
 

@@ -72,6 +72,15 @@ MUTANTS = (
            "np.maximum(y0, y1))",
            "mean = (1 - w) * y0 + w * y1",
            ("tests/test_runner.py",)),
+    Mutant("repeat-key-by-equality", RUNNER,
+           'key = repr(replace(sc, name="_"))',
+           'key = tuple(v for k, v in vars(sc).items() if k != "name")',
+           ("tests/test_runner.py",)),
+    Mutant("reports-repeat-too", RUNNER,
+           'if "stability" not in sc.outputs and "verify" not in sc.outputs:',
+           "if True:",
+           ("tests/test_runner.py",
+            "bench/test_bench.py::test_pool_thread_spans_attach_to_run_scenarios")),
     Mutant("region-ignores-start", REGIONS,
            "max(region.numeric_bound, w[0]) + BOUND_TOL",
            "region.numeric_bound + BOUND_TOL",

@@ -21,11 +21,11 @@ from predprey import (
     ModelParams,
     Scenario,
     State,
+    StepSizeWarning,
     Trajectory,
     compare,
     load_scenarios,
     preset_scenarios,
-    run_batch,
     run_scenario,
     run_scenarios,
     scheme_region,
@@ -34,6 +34,7 @@ from predprey import (
     trajectory_to_csv,
     write_gnuplot_script,
 )
+from predprey import runner
 from predprey.regions import (continuous_region, euler_region,
                               fractional_region, mickens_region)
 from predprey.runner import PRESETS, CSV_HEADER, STANDARD_INITIALS
@@ -70,6 +71,12 @@ class TestScenario:
     @pytest.mark.parametrize("name", ["run", "figure2_d0.2_l0.3", "a..b"])
     def test_file_stem_names_accepted(self, name):
         assert Scenario(name=name).name == name
+
+    def test_outputs_stored_as_a_tuple(self):
+        sc = Scenario(name="a", outputs=["timeseries", "verify"])
+        twin = Scenario(name="a", outputs=("timeseries", "verify"))
+        assert sc.outputs == ("timeseries", "verify")
+        assert sc == twin and hash(sc) == hash(twin)
 
     def test_unknown_output_rejected(self):
         with pytest.raises(ValueError, match="unknown outputs"):
@@ -490,6 +497,80 @@ class TestRunScenario:
         assert len(reports) == 2 and all(r.ok for r in reports)
 
 
+class TestRepeats:
+    """A report-free scenario that repeats an earlier one is copied, not solved."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = {"iterate": 0, "members": []}
+
+        def iterate(*args, real=runner.iterate):
+            calls["iterate"] += 1
+            return real(*args)
+
+        def batch(runs, real=runner.caputo_solve_batch):
+            runs = list(runs)
+            calls["members"].append(len(runs))
+            return real(runs)
+
+        monkeypatch.setattr(runner, "iterate", iterate)
+        monkeypatch.setattr(runner, "caputo_solve_batch", batch)
+        return calls
+
+    @pytest.mark.parametrize("scheme,solves,members", [
+        (MICKENS, 1, [0]), (FRACTIONAL, 0, [1])])
+    def test_a_repeat_is_a_byte_copy(self, tmp_path, monkeypatch, scheme,
+                                     solves, members):
+        calls = self.count_solves(monkeypatch)
+        scs = [short_scenario(name=n, scheme=scheme) for n in ("z", "a")]
+        paths, reports = run_scenarios(scs, tmp_path)
+        assert calls == {"iterate": solves, "members": members}
+        assert paths == [tmp_path / "z.csv", tmp_path / "a.csv"]
+        assert reports == []
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert all(not p.is_symlink() and p.stat().st_nlink == 1
+                   for p in paths)
+
+    def test_a_repeat_of_a_diverging_run_raises_its_error(self, tmp_path,
+                                                          monkeypatch):
+        scs = [Scenario(name=n, scheme=EULER, h=20.0, t_end=3000.0)
+               for n in ("first", "again")]
+        with pytest.warns(StepSizeWarning), pytest.raises(DivergenceError) as alone:
+            solve_scenario(scs[0])
+        calls = self.count_solves(monkeypatch)
+        with pytest.warns(StepSizeWarning), pytest.raises(DivergenceError) as exc:
+            run_scenarios(scs, tmp_path)
+        assert calls["iterate"] == 1
+        assert str(exc.value) == str(alone.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_signed_zero_starts_are_two_runs(self, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[plus]\nd0 = 0\nt_end = 5\n[minus]\nd0 = -0\nt_end = 5\n")
+        scs = load_scenarios(cfg)
+        paths, _ = run_scenarios(scs, tmp_path / "out")
+        assert paths[1].read_text().split("\n")[1].startswith("0,-0,")
+        for sc, path in zip(scs, paths):
+            alone = trajectory_to_csv(solve_scenario(sc), tmp_path / "alone.csv")
+            assert path.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("report,suffix", [
+        ("stability", "_stability.txt"), ("verify", "_verification.txt")])
+    def test_scenarios_with_reports_are_each_solved(self, tmp_path, monkeypatch,
+                                                     report, suffix):
+        calls = self.count_solves(monkeypatch)
+        scs = [short_scenario(name=n, outputs=("timeseries", report))
+               for n in ("first", "again")]
+        paths, reports = run_scenarios(scs, tmp_path)
+        assert calls["iterate"] == 2
+        assert [p.name for p in paths] == [
+            "first.csv", f"first{suffix}", "again.csv", f"again{suffix}"]
+        assert len(reports) == (2 if report == "verify" else 0)
+        for name in ("first", "again"):
+            text = (tmp_path / f"{name}{suffix}").read_text()
+            assert f"scenario {name}, scheme reference" in text
+
+
 class TestGnuplotScript:
     def test_timeseries_script_content(self, tmp_path):
         script = write_gnuplot_script(
@@ -546,8 +627,9 @@ class TestPresets:
             preset_scenarios("figure1")
 
     def test_run_figures_emits_csvs_and_script(self, tmp_path):
-        paths, _ = run_batch(preset_scenarios("figure2"), tmp_path, "figure2",
-                             title="figure2")
+        paths, _ = run_scenarios(preset_scenarios("figure2"), tmp_path)
+        paths.append(write_gnuplot_script(paths, tmp_path / "figure2.gp",
+                                          title="figure2", phase=True))
         names = [p.name for p in paths]
         assert names[-1] == "figure2.gp"
         assert sorted(names[:-1]) == ["figure2_d0.2_l0.3.csv",
