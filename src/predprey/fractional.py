@@ -15,21 +15,25 @@ The power differences are evaluated through expm1/log1p so large history
 indices do not cancel catastrophically.  Each step sums the sources in
 its own aligned block of 128 directly, and the older ones arrive in dyadic
 blocks summed by FFT, so an n-step run costs O(n log^2 n).  The solver
-core steps two-component states (the scalar test equation rides along as
-a second component that stays zero) on Python floats.  One step loop
-serves every batch size; only the product that takes the near sums is
-chosen by the member count.
+core steps two-component states on Python floats, each member from its
+row of model coefficients (alpha, beta, p, capacity); the scalar test
+equation cD^sigma y = lambda*y is the row (lambda, 0, 0, inf), whose
+second component stays zero.  The step loop writes the rate field
+inline, so the near-sum product is its only call per step.  One step
+loop serves every batch size; only that product is chosen by the member
+count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .model import (FRACTIONAL, ModelParams, State, Trajectory, check_order,
-                    grid_steps, rate_field)
+                    grid_steps)
 from .schemes import DivergenceError
 
 
@@ -77,14 +81,17 @@ _NEAR = 128
 # a diverged member's sources are not finite, from its first field value
 # on; the caller reports its first non-finite state, so numpy need not warn
 @np.errstate(invalid="ignore", over="ignore")
-def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
+def _pece_history(coeffs, x0s, sigmas, h: float, n_steps: int,
                   corrector_passes: int) -> np.ndarray:
     """Run the predictor-corrector for B two-component members on one grid.
 
-    Member i has its own field ``fields[i]`` (a map f(d, l) -> (rate_d,
-    rate_l) on floats), start ``x0s[i]`` (a pair) and order ``sigmas[i]``;
-    all share h, the step count and the corrector passes.  Returns the
-    states, shape (B, n_steps + 1, 2).
+    Member i has its own coefficient row ``coeffs[i]`` = (alpha, beta, p,
+    capacity) of floats, start ``x0s[i]`` (a pair) and order
+    ``sigmas[i]``; all share h, the step count and the corrector passes.
+    Its field is model.rate_field's, written out inline with the same
+    grouping (test_caputo_steps_repeat_the_rate_field holds them equal bit
+    for bit); capacity may be inf.  Returns the states, shape
+    (B, n_steps + 1, 2).
 
     Step n needs the predictor sum P_n = sum_{j<=n} d[n-j] F_j and the
     corrector sum H_n = a_{0,n+1} F_0 + sum_{1<=j<=n} c[n-j+1] F_j.  Both
@@ -107,18 +114,25 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
 
     One step loop serves every batch size B: each step takes the near
     sums of all members in one product and then updates each member in
-    turn.  The product is chosen at set-up: np.dot on the 2-D views of a
-    lone member (B = 1: caputo_solve, scalar_caputo_solve), a stacked
-    matmul for a batch.  Both reach the same BLAS product, so a member's
-    bits do not depend on its batch; np.dot costs less per step than a
-    stacked matmul of one, and one np.dot per member would cost a batch
+    turn, with no other Python-level call.  The product of each position
+    in the block is bound at set-up: the ndarray.dot method of the 2-D
+    weight view of a lone member (B = 1: caputo_solve,
+    scalar_caputo_solve), a stacked matmul for a batch.  Both reach the
+    same BLAS product, so a member's bits do not depend on its batch; the
+    bound method skips np.dot's dispatcher and costs less per step than a
+    stacked matmul of one, and one product per member would cost a batch
     more than its one matmul.
     """
     fft = np.fft    # numpy may load this submodule only on first use
-    members = [(f, d0, l0, h ** s / math.gamma(s + 1.0),
+    members = [(*row, d0, l0, h ** s / math.gamma(s + 1.0),
                 h ** s / math.gamma(s + 2.0))
-               for f, (d0, l0), s in zip(fields, x0s, sigmas)]
-    f0s = np.array([f(*x0) for f, x0 in zip(fields, x0s)])
+               for row, (d0, l0), s in zip(coeffs, x0s, sigmas)]
+    # F_0 of every member, grouped as in the step loop
+    alpha, beta, p, capacity = np.array(coeffs, dtype=float).T
+    d, l = np.array(x0s, dtype=float).T
+    pdl = p * d * l
+    f0s = np.stack([alpha * d * (1.0 - d / capacity) - pdl,
+                    pdl - beta * l], axis=1)
     # lag-k weight of a source j >= 1: d[k] in the predictor, c[k] = c_{k+1}
     # in the corrector; built first, so the build's temporaries are gone
     # before the history is allocated
@@ -141,11 +155,14 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
     window = np.zeros((len(sigmas), _NEAR + 1, 2))
     sums = np.empty((len(sigmas), 2, 2))
     if len(sigmas) == 1:
-        product, lags, heads, out = np.dot, near[0], window[0], sums[0]
+        heads, out = window[0], sums[0]
+        products = [near[0, :, -1 - pos:].dot for pos in range(_NEAR)]
     else:
-        product, lags, heads, out = np.matmul, near, window, sums
-    positions = [(lags[..., -1 - pos:], heads[..., :pos + 1, :], 2 * pos + 2)
-                 for pos in range(_NEAR)]
+        heads, out = window, sums
+        products = [partial(np.matmul, near[..., -1 - pos:])
+                    for pos in range(_NEAR)]
+    positions = [(product, heads[..., :pos + 1, :], 2 * pos + 2)
+                 for pos, product in enumerate(products)]
     stride = 2 * _NEAR + 2
     passes = range(corrector_passes)
     spectra = {}
@@ -180,21 +197,26 @@ def _pece_history(fields, x0s, sigmas, h: float, n_steps: int,
                         far = fft.irfft(srcs[:, c] * spec[:, k], 2 * size)
                         pending[k, c, :, b + 1:b + 1 + rows] += \
                             far[:, size:size + rows]
-            for lag, head, slot in positions[:n_steps - b]:
-                product(lag, head, out)
+            for product, head, slot in positions[:n_steps - b]:
+                product(head, out)
                 q = 0
-                for f, d0, l0, scale_p, scale_c in members:
+                for alpha, beta, p, capacity, d0, l0, scale_p, scale_c \
+                        in members:
                     # near + far, the far part pending in this member's
                     # slots; the last field value is the new source
                     d = d0 + scale_p * (near_sums[q] + flat[at])
                     l = l0 + scale_p * (near_sums[q + 1] + flat[at + 1])
                     cd = near_sums[q + 2] + flat[at + 2]
                     cl = near_sums[q + 3] + flat[at + 3]
-                    fd, fl = f(d, l)
+                    pdl = p * d * l
+                    fd = alpha * d * (1.0 - d / capacity) - pdl
+                    fl = pdl - beta * l
                     for _ in passes:
                         d = d0 + scale_c * (cd + fd)
                         l = l0 + scale_c * (cl + fl)
-                        fd, fl = f(d, l)
+                        pdl = p * d * l
+                        fd = alpha * d * (1.0 - d / capacity) - pdl
+                        fl = pdl - beta * l
                     flat[at] = d
                     flat[at + 1] = l
                     win[slot] = fd
@@ -231,7 +253,8 @@ def caputo_solve_batch(runs) -> list:
     for (h, _, passes), members in groups.items():
         params, cfgs, starts = zip(*(runs[i] for i in members))
         n = cfgs[0].n_steps()
-        xs = _pece_history([rate_field(p) for p in params],
+        xs = _pece_history([(p.alpha, p.beta, p.p, p.capacity)
+                            for p in params],
                            [(s0.d, s0.l) for s0 in starts],
                            [cfg.sigma for cfg in cfgs], h, n, passes)
         times = np.arange(n + 1, dtype=float) * h
@@ -259,19 +282,16 @@ def scalar_caputo_solve(lambda_coeff: float, sigma: float, y0: float,
                         corrector_passes: int = 1) -> np.ndarray:
     """Solve the scalar test equation cD^sigma y = lambda*y.
 
-    Uses the identical predictor-corrector machinery as the system solver;
-    mainly useful for order-of-convergence studies against the
-    Mittag-Leffler solution y(t) = y0 * E_sigma(lambda * t^sigma).
+    Runs the system solver's step loop on the coefficient row (lambda, 0,
+    0, inf), whose field is (lambda*y, 0) on the pair (y, 0); mainly
+    useful for order-of-convergence studies against the Mittag-Leffler
+    solution y(t) = y0 * E_sigma(lambda * t^sigma).
     Raises DivergenceError if the solution turns non-finite.
     """
     cfg = FractionalConfig(sigma=sigma, h=h, t_end=t_end,
                            corrector_passes=corrector_passes)
-    lam = float(lambda_coeff)
-
-    def f(y, _):
-        return lam * y, 0.0
-
-    ys = _pece_history([f], [(float(y0), 0.0)], [sigma], h, cfg.n_steps(),
+    ys = _pece_history([(float(lambda_coeff), 0.0, 0.0, math.inf)],
+                       [(float(y0), 0.0)], [sigma], h, cfg.n_steps(),
                        corrector_passes)
     exc = DivergenceError.first_in(ys[0], h)
     if exc is not None:

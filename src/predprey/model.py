@@ -131,8 +131,10 @@ def check_order(sigma: float) -> None:
 def rate_field(params: ModelParams):
     """The field as f(d, l) -> (dD/dt, dL/dt), parameters bound as floats.
 
-    The four RK4 stages in schemes.iterate repeat this grouping inline;
-    test_rk4_stages_repeat_the_rate_field holds them equal bit for bit.
+    The four RK4 stages in schemes.iterate and the Caputo step loop in
+    fractional._pece_history repeat this grouping inline;
+    test_rk4_stages_repeat_the_rate_field and
+    test_caputo_steps_repeat_the_rate_field hold them equal bit for bit.
     """
     alpha, beta, p, capacity = (params.alpha, params.beta, params.p,
                                 params.capacity)

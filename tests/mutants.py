@@ -47,6 +47,8 @@ REGIONS = "src/predprey/regions.py"
 SCHEMES = "src/predprey/schemes.py"
 FRACTIONAL = "src/predprey/fractional.py"
 RUNNER = "src/predprey/runner.py"
+STRICT_HALF_PLANE = ("tests/test_stability.py::TestCriteria::"
+                     "test_half_plane_is_strict")
 
 MUTANTS = (
     Mutant("flip-boundary", STABILITY,
@@ -106,6 +108,16 @@ MUTANTS = (
            "return 1.001 * (self.a / self.beta * (1.0 - decay) "
            "+ self.w0 * decay)",
            ("tests/test_fractional.py",)),
+    Mutant("half-plane-c1-weak", STABILITY,
+           "return m.c1 > 0.0 and", "return m.c1 >= 0.0 and",
+           (STRICT_HALF_PLANE,)),
+    Mutant("half-plane-c0-weak", STABILITY,
+           "and m.c0 > 0.0", "and m.c0 >= 0.0",
+           (STRICT_HALF_PLANE,)),
+    Mutant("euler-bound-zero-gap", STABILITY,
+           "if gap <= 0.0:", "if gap < 0.0:",
+           ("tests/test_stability.py::TestStepBound::"
+            "test_zero_gap_is_refused",)),
     Mutant("unit-p0-boundary", STABILITY,
            "if abs(abs(sc.at_zero) - 1.0) < BOUNDARY_TOL:",
            "if abs(abs(sc.at_zero) - 1.0) < 0.0:",
@@ -118,10 +130,18 @@ MUTANTS = (
            "if self.corrector_passes < 1:", "if self.corrector_passes < 0:",
            ("tests/test_fractional.py",)),
     Mutant("einsum-near-sum", FRACTIONAL,
-           "product, lags, heads, out = np.dot, near[0], window[0], sums[0]",
-           "product, lags, heads, out = (lambda a, b, c: np.einsum("
-           "'ij,jk->ik', a, b, out=c)), near[0], window[0], sums[0]",
+           "products = [near[0, :, -1 - pos:].dot for pos in range(_NEAR)]",
+           "products = [partial(lambda a, b, c: np.einsum('ij,jk->ik', a, "
+           "b, out=c), near[0, :, -1 - pos:]) for pos in range(_NEAR)]",
            ("tests/test_fractional.py",)),
+    Mutant("caputo-corrector-regrouped", FRACTIONAL,
+           "l = l0 + scale_c * (cl + fl)\n"
+           "                        pdl = p * d * l",
+           "l = l0 + scale_c * (cl + fl)\n"
+           "                        pdl = p * (d * l)",
+           ("tests/test_fractional.py::"
+            "test_caputo_steps_repeat_the_rate_field",
+            "tests/test_fractional.py::TestCaputoBitExact")),
     Mutant("no-divergence-check", SCHEMES,
            "    exc = DivergenceError.first_in(states, h)\n"
            "    if exc is not None:\n"

@@ -5,6 +5,7 @@ defining power differences, and Mittag-Leffler values from 40-digit
 series evaluation (see ``tests/oracles.py``).
 """
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -272,6 +273,23 @@ class TestScalarSolver:
             scalar_caputo_solve(5.0, 0.9, 1.0, 0.25, 300.0)
         assert (exc.value.step, exc.value.time) == (572, 143.0)
 
+    def test_grid_matches_frozen_bytes(self):
+        # every state's bytes, or the error's repr, over signed zeros,
+        # tiny and subnormal values and growth; 17 of the 336 cases
+        # diverge, among them the one at step 572
+        digest = hashlib.sha256()
+        for lam, y0, sigma, passes in itertools.product(
+                (0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 0.7, 5.0),
+                (0.0, -0.0, 1e-320, -1e-320, 0.3, -0.7, 2500.0),
+                (1.0, 0.9, 0.5), (1, 2)):
+            try:
+                out = scalar_caputo_solve(lam, sigma, y0, 0.25, 150.0,
+                                          corrector_passes=passes).tobytes()
+            except DivergenceError as exc:
+                out = repr(exc).encode()
+            digest.update(out)
+        assert digest.hexdigest()[:16] == "a8fcf0cafc1d44ec"
+
 
 @pytest.mark.parametrize("passes", [1, 3])
 @pytest.mark.parametrize("sigma", [0.5, 0.8, 0.95, 1.0])
@@ -350,25 +368,70 @@ def _first_nonfinite_row(states):
                     st.floats(-10.0, 10.0)),
        h=st.sampled_from([0.01, 0.25]))
 def test_lone_loop_equals_batch_loop(sigma, n, passes, lam, y0, h):
-    """A member alone takes its near sums by np.dot on 2-D views, beside a
-    second member by the batch's stacked matmul; both products must give
-    it the same bits.  A scalar-style field reaches the step loop as
-    scalar_caputo_solve's does."""
-    def f(y, _):
-        return lam * y, 0.0
-
-    def g(y, _):
-        return -y, 0.0
-
-    lone = fractional._pece_history([f], [(y0, 0.0)], [sigma], h, n,
+    """A member alone takes its near sums by ndarray.dot on 2-D views,
+    beside a second member by the batch's stacked matmul; both products
+    must give it the same bits.  A scalar-style coefficient row reaches the
+    step loop as scalar_caputo_solve's does."""
+    row = (lam, 0.0, 0.0, math.inf)
+    lone = fractional._pece_history([row], [(y0, 0.0)], [sigma], h, n,
                                     passes)[0]
-    pair = fractional._pece_history([f, g], [(y0, 0.0), (1.0, 0.0)],
+    pair = fractional._pece_history([row, (-1.0, 0.0, 0.0, math.inf)],
+                                    [(y0, 0.0), (1.0, 0.0)],
                                     [sigma, 0.75], h, n, passes)[0]
     if lone.tobytes() != pair.tobytes():
         first = _first_nonfinite_row(lone)
         assert first is not None
         assert first == _first_nonfinite_row(pair)
         assert lone[:first].tobytes() == pair[:first].tobytes()
+
+
+def _caputo_steps_through_rate_field(params, sigma, h, passes, s0, steps):
+    """The first one or two predictor-corrector steps, calling rate_field
+    for the predictor and each corrector pass.  Each history sum adds its
+    near part (0.0 plus the lag-0 term of F_1 at step 1; F_0 sits in the
+    near window as zero) to its far part (the F_0 term), as the solver
+    adds them."""
+    f = rate_field(params)
+    scale_p = h ** sigma / math.gamma(sigma + 1.0)
+    scale_c = h ** sigma / math.gamma(sigma + 2.0)
+    w_p, w_c, first = (w.tolist() for w in _pece_weights(sigma, steps))
+    x0 = (s0.d, s0.l)
+    rates = [f(*x0)]
+    states = [x0]
+    for n in range(steps):
+        near_p = [0.0 + w_p[0] * r for r in rates[1]] if n else [0.0, 0.0]
+        near_c = [0.0 + w_c[0] * r for r in rates[1]] if n else [0.0, 0.0]
+        d, l = (x + scale_p * (near + w_p[n] * r0)
+                for x, near, r0 in zip(x0, near_p, rates[0]))
+        cd, cl = (near + first[n] * r0 for near, r0 in zip(near_c, rates[0]))
+        fd, fl = f(d, l)
+        for _ in range(passes):
+            d = x0[0] + scale_c * (cd + fd)
+            l = x0[1] + scale_c * (cl + fl)
+            fd, fl = f(d, l)
+        states.append((d, l))
+        rates.append((fd, fl))
+    return states
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=valid_params(),
+       start=st.builds(State, st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+       sigma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       h=st.one_of(st.sampled_from([0.01, 0.25]), st.floats(1e-3, 2.0)),
+       passes=st.integers(1, 3), steps=st.integers(1, 2))
+def test_caputo_steps_repeat_the_rate_field(params, start, sigma, h, passes,
+                                            steps):
+    """The step loop writes the field inline for the predictor and each
+    corrector pass; its first steps equal, bit for bit, the steps built
+    from rate_field."""
+    cfg = FractionalConfig(sigma=sigma, h=h, t_end=steps * h,
+                           corrector_passes=passes)
+    got = caputo_solve(params, cfg, start).states
+    want = _caputo_steps_through_rate_field(params, sigma, h, passes, start,
+                                            steps)
+    assert [(d.hex(), l.hex()) for d, l in got.tolist()] == \
+        [(d.hex(), l.hex()) for d, l in want]
 
 
 class TestBatch:
@@ -404,9 +467,9 @@ class TestBatch:
         # last member is solved
         starts = []
 
-        def core(fields, x0s, *rest, real=fractional._pece_history):
+        def core(coeffs, x0s, *rest, real=fractional._pece_history):
             starts.extend(x0s)
-            return real(fields, x0s, *rest)
+            return real(coeffs, x0s, *rest)
 
         monkeypatch.setattr(fractional, "_pece_history", core)
         cfg = FractionalConfig(sigma=0.9, h=0.25, t_end=10.0)

@@ -81,6 +81,11 @@ class TestCriteria:
     def test_half_plane_uses_monic_form(self):
         assert routh_hurwitz_quadratic(Quadratic(-2.0, -6.0, -4.0))
 
+    @pytest.mark.parametrize("c1, c0", [(0.0, 1.0), (1.0, 0.0)])
+    def test_half_plane_is_strict(self, c1, c0):
+        # the roots +-i, and the root 0 of x^2 + x, lie on the imaginary axis
+        assert not routh_hurwitz_quadratic(Quadratic(1.0, c1, c0))
+
     def test_unit_circle_verdicts(self):
         inside = schur_cohn_quadratic(Quadratic(1.0, 0.0, -0.25))
         assert inside.inside_unit_circle
@@ -166,6 +171,12 @@ class TestStepBound:
 
     def test_requires_coexistence(self):
         p = ModelParams.unchecked(0.05, 0.5, 0.4, 1.0)
+        with pytest.raises(ValueError, match="coexistence"):
+            euler_step_bound(p)
+
+    def test_zero_gap_is_refused(self):
+        # p*capacity - beta is exactly 0: the documented error, not 1/0
+        p = ModelParams.unchecked(0.05, 0.4, 0.4, 1.0)
         with pytest.raises(ValueError, match="coexistence"):
             euler_step_bound(p)
 
