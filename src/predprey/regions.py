@@ -92,20 +92,19 @@ def euler_region(params: ModelParams, h: float) -> RegionSpec:
 
 
 def mickens_region(params: ModelParams, h: float) -> RegionSpec:
-    """NSFD invariant region, established for capacity 1 only:
-
-    D <= 1 and limsup W <= (4*alpha^2 + xi*beta^2)/(4*alpha*beta),
-    xi = 1 + alpha*phi(h).
-    """
-    if params.capacity != 1.0:
-        raise ValueError("the Mickens W bound is only established for capacity 1")
+    """NSFD invariant region at capacity K: D <= K and limsup W <=
+    K*(4*alpha^2 + xi*beta^2)/(4*alpha*beta), xi = 1 + alpha*phi(h).
+    The theorem is for K = 1, and the map is covariant under (D, L, K, p)
+    -> (sD, sL, sK, p/s): a validated (alpha, beta, p, K) maps to
+    (alpha, beta, pK, 1), which meets the theorem's hypotheses."""
     try:
         xi = 1.0 + params.alpha * mickens_phi(params, h)
         w_bound = (4.0 * params.alpha ** 2 + xi * params.beta ** 2) \
             / _divisor(4.0 * params.alpha * params.beta, "alpha*beta")
     except OverflowError:
         raise ValueError("the Mickens W bound overflows") from None
-    return RegionSpec(MICKENS, w_bound, d_bound=1.0)
+    return RegionSpec(MICKENS, w_bound * params.capacity,
+                      d_bound=params.capacity)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ FRACTIONAL = "src/predprey/fractional.py"
 RUNNER = "src/predprey/runner.py"
 STRICT_HALF_PLANE = ("tests/test_stability.py::TestCriteria::"
                      "test_half_plane_is_strict")
+REAL_ROOTS = ("tests/test_stability.py::TestQuadratic::"
+              "test_real_roots_are_exact")
 
 MUTANTS = (
     Mutant("flip-boundary", STABILITY,
@@ -97,6 +99,11 @@ MUTANTS = (
            "w_bound = (4.0 * params.alpha ** 2 + xi * params.beta ** 2)",
            "w_bound = 1.01 * (4.0 * params.alpha ** 2 + xi * params.beta ** 2)",
            ("tests/test_regions.py",)),
+    Mutant("conservation-a-over-m", REGIONS,
+           "a = (params.alpha + 4.0 * beta) / 4.0 * m",
+           "a = (params.alpha + 4.0 * beta) / 4.0 / m",
+           ("tests/test_regions.py::"
+            "test_runs_scale_exactly_with_the_population_unit",)),
     Mutant("boundary-tol-1e-6", STABILITY,
            "BOUNDARY_TOL = 1e-9", "BOUNDARY_TOL = 1e-6",
            ("tests/test_stability.py",)),
@@ -122,6 +129,23 @@ MUTANTS = (
            "if abs(abs(sc.at_zero) - 1.0) < BOUNDARY_TOL:",
            "if abs(abs(sc.at_zero) - 1.0) < 0.0:",
            ("tests/test_stability.py",)),
+    Mutant("crossings-difference", STABILITY,
+           "crossings = (sc.at_one < 0.0) + (sc.at_minus_one < 0.0)",
+           "crossings = (sc.at_one < 0.0) - (sc.at_minus_one < 0.0)",
+           ("tests/test_stability.py::TestClassifyEuler::"
+            "test_flip_saddle_is_a_saddle",)),
+    Mutant("half-plane-boundary-and", STABILITY,
+           "if abs(c0) < BOUNDARY_TOL or (c0 > 0.0",
+           "if abs(c0) < BOUNDARY_TOL and (c0 > 0.0",
+           ("tests/test_stability.py::TestClassifyContinuous::"
+            "test_zero_eigenvalue_is_non_hyperbolic",)),
+    Mutant("real-root-half-1e-6", STABILITY,
+           "q = -0.5 * (b + math.copysign(sq, b))",
+           "q = -0.5000005 * (b + math.copysign(sq, b))",
+           (REAL_ROOTS,)),
+    Mutant("zero-b-root-half-1e-6", STABILITY,
+           "else 0.5 * sq", "else 0.5000005 * sq",
+           (REAL_ROOTS,)),
     Mutant("latest-violation", REGIONS,
            "i, quantity, observed, limit = min(hits)",
            "i, quantity, observed, limit = max(hits)",

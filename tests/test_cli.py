@@ -491,6 +491,22 @@ class TestVerify:
                        "--output", tmp_path)
         assert code == 1
 
+    def test_mickens_checks_at_any_capacity(self, tmp_path, capsys):
+        code = run_cli("verify", "--scheme", "mickens", "--capacity", 2,
+                       "--p", 0.2, "--h", 1, "--output", tmp_path)
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "verify: ok (scheme mickens, 300 time units)\n")
+
+    def test_negative_capacity_bound_exits_two(self, tmp_path, capsys):
+        # the Mickens bounds scale with the capacity, so they turn negative
+        code = run_cli("verify", "--scheme", "mickens", "--capacity=-1",
+                       "--output", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: numeric_bound must be positive and finite, got -1.68")
+
     @pytest.mark.parametrize("flags,zero", [
         (("--scheme", "euler", "--p", 0), "p*h = 0"),
         (("--scheme", "mickens", "--alpha", 0), "alpha*beta = 0"),
@@ -508,6 +524,7 @@ class TestVerify:
         ("--scheme", "mickens", "--alpha", 0),
         ("--scheme", "reference", "--beta", 0),
         ("--scheme", "fractional", "--beta", 0),
+        ("--scheme", "mickens", "--capacity=-1"),
     ])
     def test_region_error_writes_nothing(self, tmp_path, capsys, flags):
         out = tmp_path / "out"

@@ -13,6 +13,7 @@ from predprey import (
     REFERENCE,
     FractionalConfig,
     ModelParams,
+    Scenario,
     SchemeConfig,
     State,
     Trajectory,
@@ -25,6 +26,7 @@ from predprey import (
     fractional_region,
     iterate,
     mickens_region,
+    scheme_region,
 )
 from predprey.regions import RegionSpec
 
@@ -98,10 +100,12 @@ class TestMickensRegion:
             region = mickens_region(params, h)
             assert region.numeric_bound > 1.0
 
-    def test_requires_unit_capacity(self):
-        p = ModelParams(alpha=0.05, beta=0.3, p=0.2, capacity=2.0)
-        with pytest.raises(ValueError, match="capacity"):
-            mickens_region(p, 0.25)
+    def test_bounds_scale_with_the_capacity(self, params):
+        # (alpha, beta, p, K) = (0.05, 0.3, 0.2, 2) is the fixture doubled
+        doubled = mickens_region(ModelParams(0.05, 0.3, 0.2, 2.0), 0.25)
+        unit = mickens_region(params, 0.25)
+        assert doubled.numeric_bound == 2.0 * unit.numeric_bound
+        assert doubled.d_bound == 2.0 * unit.d_bound == 2.0
 
 
 class TestFractionalRegion:
@@ -230,6 +234,9 @@ class TestCheckTrajectory:
 positive_start = st.builds(State, st.floats(0.0, 1.5, exclude_min=True),
                            st.floats(0.0, 1.5, exclude_min=True))
 unit_capacity_params = valid_params(capacity=st.just(1.0))
+# validated parameters with the capacity log-uniform in [1e-3, 1e3]
+wide_capacity_params = valid_params(
+    capacity=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
 
 
 def _holds(params, scheme, h, start, region):
@@ -250,18 +257,25 @@ def test_reference_stays_in_the_flow_region(params, h, start):
     capacity), and L >= 0 with D + L <= (alpha + 4 beta)/(4 beta) M.
     Drawn at capacity 1: at small capacities the RK4 step itself can
     leave the region (capacity 0.0625 from (1, 1) at h = 0.25 overshoots
-    the D bound at step 1)."""
+    the D bound at step 1).  By the covariance (D, L, K, p) -> (sD, sL,
+    sK, p/s) a small capacity is a large start in capacity units: with
+    s = 16 that run is capacity 1 from (16, 16)."""
     _holds(params, REFERENCE, h, start, continuous_region(params, start))
 
 
 @settings(max_examples=100, deadline=None)
-@given(params=unit_capacity_params, h=st.floats(0.05, 50.0),
-       start=positive_start)
-def test_mickens_stays_in_its_region(params, h, start):
+@given(params=wide_capacity_params, h=st.floats(0.05, 50.0),
+       frac=positive_start)
+def test_mickens_stays_in_its_region(params, h, frac):
     """Mickens region theorem: for 0 < alpha < beta < p < 1 at capacity 1,
     any step h > 0 and a non-negative start, D and L stay non-negative,
     D <= max(D(0), 1) and D + L stays below
-    (4 alpha^2 + xi beta^2)/(4 alpha beta), xi = 1 + alpha phi(h)."""
+    (4 alpha^2 + xi beta^2)/(4 alpha beta), xi = 1 + alpha phi(h).  By
+    the covariance (D, L, K, p) -> (sD, sL, sK, p/s) both bounds scale
+    with the capacity K, so K is drawn in [1e-3, 1e3] and the start in
+    (0, 1.5 K]^2."""
+    k = params.capacity
+    start = State(k * frac.d, k * frac.l)
     _holds(params, MICKENS, h, start, mickens_region(params, h))
 
 
@@ -300,6 +314,14 @@ def _unit_run(scheme, arg, params, start):
     return iterate(params, cfg, start).states
 
 
+def _unit_bounds(scheme, arg, params, start):
+    """numeric_bound, d_bound and aux_bound of the region that ``verify``
+    builds for the scaling property's run."""
+    h = 0.25 if scheme == FRACTIONAL else arg or 0.25
+    region = scheme_region(Scenario("unit", params, start, scheme, h=h))
+    return [region.numeric_bound, region.d_bound, region.aux_bound]
+
+
 @settings(max_examples=100, deadline=None)
 @given(params=valid_params(), frac_d=st.floats(1e-6, 1.0),
        frac_l=st.floats(1e-6, 1.0), k=st.integers(-60, 60))
@@ -308,9 +330,10 @@ def test_runs_scale_exactly_with_the_population_unit(params, frac_d, frac_l,
     """The model is covariant under (D, L, capacity, p) -> (sD, sL, sK, p/s)
     with alpha, beta, h and sigma unchanged.  With s = 2^k every solver's
     arithmetic scales exactly, barring underflow, so each state of the
-    scaled run is s times the unscaled one, bit for bit, and every
+    scaled run is s times the unscaled one, bit for bit, every
     equilibrium keeps its classification (RK4 and Euler at h = 0.25,
-    Mickens at h = 1, Caputo at sigma = 0.9 and h = 0.25, all to t = 30).
+    Mickens at h = 1, Caputo at sigma = 0.9 and h = 0.25, all to t = 30),
+    and each scheme's region has s times the unscaled bounds.
     Both populations start in [1e-6, 1] times the capacity: there no run
     diverges, and scaled by 2^-60 none comes near the subnormal range,
     where rounding does not scale."""
@@ -325,3 +348,6 @@ def test_runs_scale_exactly_with_the_population_unit(params, frac_d, frac_l,
             s * _unit_run(scheme, arg, params, start), err_msg=scheme)
         assert ([r.classification for r in classify(scaled, scheme, arg)]
                 == [r.classification for r in classify(params, scheme, arg)])
+        bounds = _unit_bounds(scheme, arg, params, start)
+        assert (_unit_bounds(scheme, arg, scaled, scaled_start)
+                == [b if b is None else s * b for b in bounds]), scheme

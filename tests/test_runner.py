@@ -704,6 +704,17 @@ class TestLoadScenarios:
         assert memory.sigma == 0.9
         assert memory.outputs == ("timeseries", "verify")
 
+    def test_mickens_verify_at_two_capacities(self, tmp_path):
+        cfg = tmp_path / "caps.cfg"
+        cfg.write_text("[double]\nscheme = mickens\ncapacity = 2\np = 0.2\n"
+                       "h = 1\nt_end = 50\noutputs = verify\n\n"
+                       "[unit]\nscheme = mickens\nh = 1\nt_end = 50\n"
+                       "outputs = verify\n")
+        paths, reports = run_scenarios(load_scenarios(cfg), tmp_path / "out")
+        assert [p.name for p in paths] == ["double_verification.txt",
+                                           "unit_verification.txt"]
+        assert len(reports) == 2 and all(r.ok for r in reports)
+
     def test_overrides_take_precedence(self, tmp_path):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(GOOD_CONFIG)

@@ -66,6 +66,13 @@ class TestQuadratic:
         r1, r2 = Quadratic(1.0, 0.0, 1.0).roots()
         assert {r1, r2} == {1j, -1j}
 
+    @pytest.mark.parametrize("coeffs,roots", [
+        ((1.0, -5.0, 6.0), (3.0, 2.0)),     # b != 0: q = -(b + sign(b) sq)/2
+        ((1.0, 0.0, -4.0), (2.0, -2.0)),    # b == 0: q = sq/2
+    ])
+    def test_real_roots_are_exact(self, coeffs, roots):
+        assert Quadratic(*coeffs).roots() == roots
+
     def test_cancellation_resistant_roots(self):
         # x^2 - 1e8 x + 1: the small root would vanish in the naive formula
         r = sorted(abs(z) for z in Quadratic(1.0, -1e8, 1.0).roots())
@@ -207,6 +214,14 @@ class TestClassifyContinuous:
         rep = _by_label(classify(p, REFERENCE))[E3]
         assert rep.classification == NON_HYPERBOLIC
 
+    def test_zero_eigenvalue_is_non_hyperbolic(self):
+        # p*capacity = beta: E2's eigenvalues are -alpha and exactly 0
+        rep = _by_label(classify(ModelParams.unchecked(0.05, 0.4, 0.4, 1.0),
+                                 REFERENCE))[E2]
+        assert rep.eigenvalues == (-0.05, 0.0)
+        assert rep.criterion_details == {"c1": 0.05, "c0": 0.0}
+        assert rep.classification == NON_HYPERBOLIC
+
 
 class TestClassifyEuler:
     def test_reference_table(self, params):
@@ -237,6 +252,20 @@ class TestClassifyEuler:
         rep = _by_label(classify(DEFAULT_PARAMS, EULER, 2 / 0.3))[E1]
         assert rep.criterion_details["P(-1)"] == 0.0
         assert rep.classification == NON_HYPERBOLIC
+
+    def test_flip_saddle_is_a_saddle(self):
+        # one multiplier below -1, one inside the circle: P(1) > 0 > P(-1)
+        params = ModelParams(0.09829051266897221, 0.8410178953155873,
+                             0.8468321563305616, 1.0)
+        rep = _by_label(classify(params, EULER, 87.66605593201639))[E3]
+        assert rep.criterion_details["P(1)"] == pytest.approx(4.3619,
+                                                              rel=1e-4)
+        assert rep.criterion_details["P(-1)"] == pytest.approx(-8.7532,
+                                                               rel=1e-4)
+        low, high = sorted(z.real for z in rep.eigenvalues)
+        assert low == pytest.approx(-7.0132, rel=1e-4)
+        assert high == pytest.approx(0.45566, rel=1e-4)
+        assert rep.classification == SADDLE
 
     def test_step_size_required(self, params):
         with pytest.raises(ValueError, match="step"):
